@@ -1,10 +1,15 @@
 """End-to-end orchestration of the DBDC protocol over the simulated network.
 
-:class:`DistributedRunner` wires :class:`~repro.distributed.site.ClientSite`
-objects, a :class:`~repro.distributed.server.CentralServer` and a
-:class:`~repro.distributed.network.SimulatedNetwork` into the four protocol
-steps of the paper's Figure 2, with the same runtime accounting the paper
-uses (sites run conceptually in parallel: overall = max local + global).
+:class:`DistributedRunner` drives :class:`~repro.distributed.site.ClientSite`
+objects, a :class:`~repro.distributed.round_core.RoundCore` (admission
+gate, build-or-repair commit) and a
+:class:`~repro.faults.transport.ResilientTransport` over a
+:class:`~repro.distributed.network.SimulatedNetwork` through the four
+protocol steps of the paper's Figure 2, with the same runtime accounting
+the paper uses (sites run conceptually in parallel: overall = max local +
+global).  Every round — the base round 0 and any recovery round — runs
+through one loop; a clean run is the same loop under a plan that injects
+nothing.
 
 This is the "whole system" view; :func:`repro.core.dbdc.run_dbdc` offers the
 same pipeline as a plain function when network accounting is not needed.
@@ -28,18 +33,18 @@ from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
-from repro.core.global_model import GlobalModelRepairer
 from repro.core.models import GlobalModel, LocalModel
 from repro.core.relabel import RELABEL_KERNELS, relabel_site
 from repro.core.shm import ShmArrayPool, ShmArrayRef
 from repro.data.distance import Metric
 from repro.distributed.network import SERVER, NetworkStats, SimulatedNetwork
 from repro.distributed.partition import partition, split
-from repro.distributed.server import CentralServer
+from repro.distributed.round_core import RoundCore
 from repro.distributed.site import ClientSite
 from repro.faults.plan import FaultPlan
 from repro.faults.transport import (
     BreakerPolicy,
+    DeliveryOutcome,
     ResilientTransport,
     TransportPolicy,
     TransportStats,
@@ -290,11 +295,6 @@ class DistributedRunConfig:
         fallback_min_points: the largest site must hold at least this
             many objects for parallel fan-out to engage (with
             ``auto_fallback``).
-        shared_memory: ``"auto"`` (default) / ``"on"`` / ``"off"`` —
-            whether process-backend fan-outs pass site arrays through
-            ``multiprocessing.shared_memory`` (zero-copy attach) instead
-            of pickling them per task.  Ignored by the thread backend,
-            which already shares the address space.
     """
 
     eps_local: float
@@ -310,7 +310,6 @@ class DistributedRunConfig:
     relabel_kernel: str = "auto"
     auto_fallback: bool = True
     fallback_min_points: int = 20_000
-    shared_memory: str = "auto"
 
     def __post_init__(self) -> None:
         if self.parallelism < 1:
@@ -328,11 +327,6 @@ class DistributedRunConfig:
         if self.fallback_min_points < 0:
             raise ValueError(
                 f"fallback_min_points must be >= 0, got {self.fallback_min_points}"
-            )
-        if self.shared_memory not in ("auto", "on", "off"):
-            raise ValueError(
-                f"shared_memory must be 'auto', 'on' or 'off', "
-                f"got {self.shared_memory!r}"
             )
 
 
@@ -379,10 +373,10 @@ class RoundPolicy:
 class RecoveryPolicy:
     """Recovery-round policy: let failed sites rejoin and heal the model.
 
-    After the initial degraded round, up to ``max_recovery_rounds``
-    recovery rounds run.  In each round every still-failed site gets one
-    chance to rejoin: crashed sites reboot (re-running their local phase
-    if they never computed one; local state survives a crash-after-send),
+    After the base round, up to ``max_recovery_rounds`` recovery rounds
+    run.  In each round every still-failed site gets one chance to
+    rejoin: crashed sites reboot (re-running their local phase if they
+    never computed one; local state survives a crash-after-send),
     sites whose upload was lost, late or quarantined resubmit, and sites
     that missed the broadcast receive it again.  The server folds late
     models into the existing global model *incrementally*
@@ -479,6 +473,85 @@ class RecoveryRoundStats:
 
 
 @dataclass
+class _RoundLog:
+    """What one round did on the simulated and the driver's wall clock.
+
+    The report's timing fields and the trace are assembled from these
+    marks, worker span exports and send entries.
+    """
+
+    sim_start: float
+    wall_start: float
+    sim_end: float = 0.0
+    retries: int = 0
+    compute_end: float = 0.0
+    upload_end: float = 0.0
+    global_start: float = 0.0
+    broadcast_start: float = 0.0
+    broadcast_end: float = 0.0
+    relabel_start: float = 0.0
+    relabel_compute_end: float = 0.0
+    end: float = 0.0
+    local_spans: list[dict] = field(default_factory=list)
+    relabel_spans: list[dict] = field(default_factory=list)
+    sends: list[tuple] = field(default_factory=list)
+    attrs: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        self.sim_end = self.sim_start
+
+    def deliver(
+        self,
+        transport: ResilientTransport,
+        tracer: Tracer | None,
+        site_id: int,
+        kind: str,
+        payload: bytes,
+        start_s: float,
+        *,
+        receiver_down: bool = False,
+    ) -> DeliveryOutcome:
+        """Move one message between ``site_id`` and the server.
+
+        ``local_model`` goes up, ``global_model`` comes down.  Logs the
+        retries, the round's simulated end and, when traced, a
+        ``(wall_start, wall_end, sim_start, sim_end, attrs)`` send entry.
+        """
+        if kind == "local_model":
+            sender, receiver = site_id, SERVER
+        else:
+            sender, receiver = SERVER, site_id
+        wall_start = time.perf_counter() if tracer is not None else 0.0
+        delivery = transport.deliver(
+            sender,
+            receiver,
+            kind,
+            payload,
+            start_s=start_s,
+            receiver_down=receiver_down,
+        )
+        if tracer is not None:
+            self.sends.append(
+                (
+                    wall_start,
+                    time.perf_counter(),
+                    start_s,
+                    delivery.arrival_s,
+                    {
+                        "site": site_id,
+                        "kind": kind,
+                        "bytes": delivery.bytes_sent,
+                        "delivered": delivery.delivered,
+                        "attempts": delivery.attempts,
+                    },
+                )
+            )
+        self.retries += delivery.retries
+        self.sim_end = max(self.sim_end, delivery.arrival_s)
+        return delivery
+
+
+@dataclass
 class DistributedRunReport:
     """Everything a distributed run produces.
 
@@ -487,8 +560,6 @@ class DistributedRunReport:
     ``*_cpu_seconds`` is accumulated per-thread CPU time, and
     ``*_sim_seconds`` is the deterministic simulated protocol clock
     (the one ``RoundPolicy`` deadlines and transport delays run on).
-    The legacy un-clocked names (``max_local_seconds`` …) remain as
-    read-only aliases.
 
     Attributes:
         sites: the client sites (holding their labels and stats).
@@ -510,13 +581,13 @@ class DistributedRunReport:
             relabel fan-out.
         relabel_cpu_seconds: CPU time summed over all sites' relabels.
         local_sim_seconds: simulated time at which the last *admitted*
-            local model arrived at the server (0 on the fault-free path,
-            which has no simulated timeline).
+            local model arrived at the server (0 on a clean run).
         round_sim_seconds: simulated time at which the round's last
             transport activity finished — uploads, retries and broadcast
-            included (0 on the fault-free path).
+            included (0 on a clean run).
         participating_sites: sites whose local model the server admitted
-            into the global model, in arrival order.
+            into the global model, in simulated arrival order (site order
+            on a clean run, which reports no simulated timeline).
         failed_sites: sites that missed some part of the round (crashed,
             link failed, deadline missed, or lost the broadcast), sorted.
             A site can appear in both lists: its model was merged but it
@@ -526,7 +597,7 @@ class DistributedRunReport:
             after recovery), a site holds stale labels, or the server's
             quorum was missed.
         transport_stats: detailed transport bookkeeping (``None`` for
-            fault-free runs, which bypass the resilient transport).
+            clean runs, whose transport injects nothing).
         recovered_sites: sites that failed the initial round but completed
             the protocol in a recovery round, sorted.  They appear in
             ``participating_sites`` too and *not* in ``failed_sites``.
@@ -591,24 +662,9 @@ class DistributedRunReport:
     shm_teardown_seconds: float = 0.0
 
     @property
-    def max_local_seconds(self) -> float:
-        """Back-compat alias for :attr:`max_local_wall_seconds`."""
-        return self.max_local_wall_seconds
-
-    @property
-    def global_seconds(self) -> float:
-        """Back-compat alias for :attr:`global_wall_seconds`."""
-        return self.global_wall_seconds
-
-    @property
-    def overall_seconds(self) -> float:
+    def overall_wall_seconds(self) -> float:
         """The paper's overall runtime (max local + global, wall clock)."""
         return self.max_local_wall_seconds + self.global_wall_seconds
-
-    @property
-    def overall_wall_seconds(self) -> float:
-        """Clock-named alias for :attr:`overall_seconds`."""
-        return self.overall_seconds
 
     @property
     def n_objects(self) -> int:
@@ -743,21 +799,21 @@ class DistributedRunReport:
 class DistributedRunner:
     """Executes the four DBDC protocol steps over a simulated network.
 
-    With a ``fault_plan`` the run goes through the degraded-mode protocol
-    instead: messages travel via a :class:`ResilientTransport` (timeouts,
-    retries, backoff), the server applies the ``round_policy``'s deadline
-    and quorum, the global model is built from whichever local models
-    were admitted, and sites that missed the round fall back to their
-    local labels.  Without a plan (or with an inactive one) the runner
-    takes the exact legacy code path — reports are bit-identical to the
-    fault-free implementation.
+    Every message travels via a :class:`ResilientTransport` (timeouts,
+    retries, backoff) under the ``fault_plan``, the round core applies the
+    ``round_policy``'s deadline and quorum, the global model is built from
+    whichever local models were admitted, and sites that missed the round
+    fall back to their local labels.  Without a plan (or with an inactive
+    one) nothing fails, so every site takes part and the labels, model and
+    traffic equal the paper's protocol run site by site; the report then
+    carries no simulated timeline and no transport statistics.
 
     Args:
         config: run configuration.
         network: optional pre-configured network (fresh default otherwise).
         fault_plan: faults to inject (``None`` or inactive = clean run).
-        transport_policy: retry/backoff parameters for the fault path.
-        round_policy: server deadline/quorum policy for the fault path.
+        transport_policy: retry/backoff parameters of the transport.
+        round_policy: server deadline/quorum policy.
         recovery_policy: optional :class:`RecoveryPolicy`; with
             ``max_recovery_rounds > 0`` failed sites get recovery rounds
             to rejoin and the global model is repaired incrementally.
@@ -906,16 +962,13 @@ class DistributedRunner:
             self._effective_parallelism > 1
             and len(sites) > 1
             and self.config.parallel_backend == "process"
-            and self.config.shared_memory != "off"
         ):
             self._setup_shm_pool(sites)
         try:
-            if self.fault_plan is not None and self.fault_plan.is_active():
-                return self._run_degraded(sites, site_points, assignment)
-            return self._run_fault_free(sites, site_points, assignment)
+            return self._run(sites, site_points, assignment)
         finally:
-            # Normally a no-op: the run paths tear the pool down before
-            # assembling their report so the teardown cost is recorded.
+            # Normally a no-op: the run tears the pool down before
+            # assembling its report so the teardown cost is recorded.
             self._close_shm_pool()
 
     def _local_fanout(self, sites: list[ClientSite], observing: bool) -> list:
@@ -984,291 +1037,27 @@ class DistributedRunner:
             sum(p.shape[0] for p in site_points), dim
         )
 
-    def _run_fault_free(
+    def _run(
         self,
         sites: list[ClientSite],
         site_points: list[np.ndarray],
         assignment: np.ndarray | None,
     ) -> DistributedRunReport:
-        """The paper's protocol verbatim: every site answers, every
-        message arrives."""
-        tracer = self.tracer
-        metrics = self.metrics
-        observing = tracer is not None or metrics is not None
-        server = CentralServer(
-            self.config.eps_global,
-            metric=self.config.metric,
-            index_kind=self.config.index_kind,
-            metrics=metrics,
-        )
-        run_start = time.perf_counter()
-        # Steps 1+2: local clustering (possibly parallel) and model
-        # transmission.  The compute fans out; results are applied and sent
-        # in deterministic site order so reports match sequential runs.
-        local_start = time.perf_counter()
-        local_results = self._local_fanout(sites, observing)
-        compute_end = time.perf_counter()
-        local_wall_seconds = compute_end - local_start
-        local_cpu_seconds = 0.0
-        site_local_spans: list[dict] = []
-        upload_entries: list[tuple] = []
-        for site, result in zip(sites, local_results):
-            if observing:
-                outcome, wall_s, cpu_s, spans, worker_metrics = result
-                if metrics is not None:
-                    metrics.merge(worker_metrics)
-                site_local_spans.extend(spans)
-            else:
-                outcome, wall_s, cpu_s = result
-            local_cpu_seconds += cpu_s
-            model = site.apply_local_outcome(outcome, wall_s, cpu_s)
-            send_start = time.perf_counter() if tracer is not None else 0.0
-            message = self.network.send(
-                site.site_id, SERVER, "local_model", model.to_bytes()
-            )
-            if tracer is not None:
-                upload_entries.append(
-                    (
-                        send_start,
-                        time.perf_counter(),
-                        0.0,
-                        message.sim_seconds,
-                        {"site": site.site_id, "bytes": message.n_bytes},
-                    )
-                )
-            server.receive_local_model(model)
-        upload_end = time.perf_counter()
-        # Step 3: global model.
-        global_start = time.perf_counter()
-        global_model = server.build()
-        # Broadcast + step 4: every site relabels (possibly parallel).
-        payload = global_model.to_bytes()
-        broadcast_start = time.perf_counter()
-        broadcast_entries: list[tuple] = []
-        for site in sites:
-            send_start = time.perf_counter() if tracer is not None else 0.0
-            message = self.network.send(
-                SERVER, site.site_id, "global_model", payload
-            )
-            if tracer is not None:
-                broadcast_entries.append(
-                    (
-                        send_start,
-                        time.perf_counter(),
-                        0.0,
-                        message.sim_seconds,
-                        {"site": site.site_id, "bytes": message.n_bytes},
-                    )
-                )
-        broadcast_end = time.perf_counter()
-        relabel_start = time.perf_counter()
-        relabel_results = self._relabel_fanout(sites, global_model, observing)
-        relabel_end = time.perf_counter()
-        relabel_wall_seconds = relabel_end - relabel_start
-        relabel_cpu_seconds = 0.0
-        site_relabel_spans: list[dict] = []
-        for site, result in zip(sites, relabel_results):
-            if observing:
-                global_labels, stats, wall_s, cpu_s, spans = result
-                site_relabel_spans.extend(spans)
-            else:
-                global_labels, stats, wall_s, cpu_s = result
-            relabel_cpu_seconds += cpu_s
-            site.apply_relabel(global_labels, stats, wall_s, cpu_s)
-        self._close_shm_pool()
-        run_end = time.perf_counter()
+        """Run every round of the protocol through one loop.
 
-        if metrics is not None:
-            metrics.set("runner.participating_sites", len(sites))
-            metrics.set("runner.failed_sites", 0)
-        trace = None
-        if tracer is not None:
-            self._record_run_spans(
-                mode="fault_free",
-                n_sites=len(sites),
-                run_window=(run_start, run_end),
-                local_window=(local_start, compute_end, upload_end),
-                site_local_spans=site_local_spans,
-                upload_entries=upload_entries,
-                global_window=(global_start, server.global_seconds),
-                n_representatives=len(global_model),
-                broadcast_window=(broadcast_start, broadcast_end),
-                broadcast_entries=broadcast_entries,
-                relabel_window=(relabel_start, relabel_end, run_end),
-                site_relabel_spans=site_relabel_spans,
-            )
-            trace = trace_document(tracer, metrics)
-
-        raw_bytes, raw_seconds = self._raw_cost(site_points)
-        return DistributedRunReport(
-            sites=sites,
-            global_model=global_model,
-            network=self.network.stats(),
-            raw_bytes=raw_bytes,
-            raw_sim_seconds=raw_seconds,
-            max_local_wall_seconds=max(
-                site.times.local_wall_seconds for site in sites
-            ),
-            global_wall_seconds=server.global_seconds,
-            assignment=assignment,
-            local_wall_seconds=local_wall_seconds,
-            local_cpu_seconds=local_cpu_seconds,
-            relabel_wall_seconds=relabel_wall_seconds,
-            relabel_cpu_seconds=relabel_cpu_seconds,
-            participating_sites=[site.site_id for site in sites],
-            trace=trace,
-            effective_parallelism=self._effective_parallelism,
-            parallelism_fallback_reason=self._fallback_reason,
-            shm_bytes_shared=self._shm_bytes_shared,
-            shm_setup_seconds=self._shm_setup_seconds,
-            shm_teardown_seconds=self._shm_teardown_seconds,
-        )
-
-    def _record_run_spans(
-        self,
-        *,
-        mode: str,
-        n_sites: int,
-        run_window: tuple[float, float],
-        local_window: tuple[float, float, float],
-        site_local_spans: list[dict],
-        upload_entries: list[tuple],
-        global_window: tuple[float, float],
-        n_representatives: int,
-        broadcast_window: tuple[float, float],
-        broadcast_entries: list[tuple],
-        relabel_window: tuple[float, float, float],
-        site_relabel_spans: list[dict],
-        fallback_window: tuple[float, float] | None = None,
-        recovery_entries: list[dict] | None = None,
-    ) -> None:
-        """Assemble the run's span tree post-hoc from the *same*
-        ``perf_counter`` reads that produced the report's timing fields,
-        so trace and report reconcile exactly.
-
-        ``local_window`` / ``relabel_window`` are ``(start, compute_end,
-        phase_end)``; ``global_window`` is ``(start, duration)`` — the
-        duration is the server's own measurement.  Message entries are
-        ``(wall_start, wall_end, sim_start, sim_end, attrs)`` tuples.
+        Round 0 is the base round: every site that is up computes and
+        uploads its local model, the server commits whatever it admitted
+        and broadcasts the global model back, and every site that
+        receives it relabels.  Rounds r >= 1 are the
+        :class:`RecoveryPolicy` rounds: the same steps for the sites that
+        are still failed or stale, with the commit folding the late
+        models into the global model.  Sites that never completed the
+        protocol fall back to their local labels at the end.
         """
-        tracer = self.tracer
-        run_span = tracer.record(
-            "run",
-            wall_start=run_window[0],
-            wall_end=run_window[1],
-            attrs={"mode": mode, "n_sites": n_sites},
-        )
-        local_start, compute_end, upload_end = local_window
-        local_span = tracer.record(
-            "local_phase",
-            wall_start=local_start,
-            wall_end=upload_end,
-            parent=run_span,
-        )
-        compute_span = tracer.record(
-            "compute",
-            wall_start=local_start,
-            wall_end=compute_end,
-            parent=local_span,
-        )
-        _graft_worker_spans(compute_span, site_local_spans)
-        upload_span = tracer.record(
-            "upload",
-            wall_start=compute_end,
-            wall_end=upload_end,
-            parent=local_span,
-        )
-        for w0, w1, s0, s1, attrs in upload_entries:
-            tracer.record(
-                "send[local_model]",
-                wall_start=w0,
-                wall_end=w1,
-                sim_start=s0,
-                sim_end=s1,
-                attrs=attrs,
-                parent=upload_span,
-            )
-        global_start, global_seconds = global_window
-        tracer.record(
-            "global_phase",
-            wall_start=global_start,
-            wall_end=global_start + global_seconds,
-            attrs={"n_representatives": n_representatives},
-            parent=run_span,
-        )
-        broadcast_span = tracer.record(
-            "broadcast",
-            wall_start=broadcast_window[0],
-            wall_end=broadcast_window[1],
-            parent=run_span,
-        )
-        for w0, w1, s0, s1, attrs in broadcast_entries:
-            tracer.record(
-                "send[global_model]",
-                wall_start=w0,
-                wall_end=w1,
-                sim_start=s0,
-                sim_end=s1,
-                attrs=attrs,
-                parent=broadcast_span,
-            )
-        relabel_start, relabel_compute_end, relabel_end = relabel_window
-        relabel_span = tracer.record(
-            "relabel",
-            wall_start=relabel_start,
-            wall_end=relabel_end,
-            parent=run_span,
-        )
-        relabel_compute = tracer.record(
-            "compute",
-            wall_start=relabel_start,
-            wall_end=relabel_compute_end,
-            parent=relabel_span,
-        )
-        _graft_worker_spans(relabel_compute, site_relabel_spans)
-        for entry in recovery_entries or ():
-            round_span = tracer.record(
-                f"recovery_round[{entry['round_index']}]",
-                wall_start=entry["wall_start"],
-                wall_end=entry["wall_end"],
-                sim_start=entry["sim_start"],
-                sim_end=entry["sim_end"],
-                attrs=entry["attrs"],
-                parent=run_span,
-            )
-            _graft_worker_spans(
-                round_span,
-                entry["site_local_spans"] + entry["site_relabel_spans"],
-            )
-            for w0, w1, s0, s1, attrs in entry["send_entries"]:
-                tracer.record(
-                    f"send[{attrs.get('kind', 'message')}]",
-                    wall_start=w0,
-                    wall_end=w1,
-                    sim_start=s0,
-                    sim_end=s1,
-                    attrs=attrs,
-                    parent=round_span,
-                )
-        if fallback_window is not None:
-            tracer.record(
-                "degraded_fallback",
-                wall_start=fallback_window[0],
-                wall_end=fallback_window[1],
-                parent=run_span,
-            )
-
-    def _run_degraded(
-        self,
-        sites: list[ClientSite],
-        site_points: list[np.ndarray],
-        assignment: np.ndarray | None,
-    ) -> DistributedRunReport:
-        """The degraded-mode protocol: inject faults, retry, apply the
-        deadline/quorum policy, and fall back to local labels wherever
-        the round could not complete."""
-        plan = self.fault_plan
+        plan = FaultPlan.none() if self.fault_plan is None else self.fault_plan
+        faulty = plan.is_active()
         policy = self.round_policy
+        recovery = self.recovery_policy
         tracer = self.tracer
         metrics = self.metrics
         observing = tracer is not None or metrics is not None
@@ -1279,7 +1068,7 @@ class DistributedRunner:
             breaker_policy=self.breaker_policy,
             metrics=metrics,
         )
-        server = CentralServer(
+        core = RoundCore(
             self.config.eps_global,
             metric=self.config.metric,
             index_kind=self.config.index_kind,
@@ -1289,467 +1078,226 @@ class DistributedRunner:
             metrics=metrics,
         )
         behaviors = {site.site_id: plan.resolve_site(site.site_id) for site in sites}
+        sites_by_id = {site.site_id: site for site in sites}
+        models_by_site: dict[int, LocalModel] = {}
         failed: dict[int, str] = {}
-        retries = 0
+        stale: set[int] = set()
+        relabeled: set[int] = set()
+        recovered_total: set[int] = set()
+        quarantined_total: set[int] = set()
+        local_cpu_seconds = 0.0
+        relabel_cpu_seconds = 0.0
+        local_sim_seconds = 0.0
         round_sim_end = 0.0
+        rounds: list[_RoundLog] = []
+        recovery_rounds_stats: list[RecoveryRoundStats] = []
 
         run_start = time.perf_counter()
-        # Steps 1+2 over the sites that survive to compute at all.
-        computing = [
-            site
-            for site in sites
-            if not behaviors[site.site_id].crashes_before_local
-        ]
-        for site in sites:
-            if behaviors[site.site_id].crashes_before_local:
-                failed[site.site_id] = "crash_before_local"
-        local_start = time.perf_counter()
-        local_results = self._local_fanout(computing, observing)
-        compute_end = time.perf_counter()
-        local_wall_seconds = compute_end - local_start
-        local_cpu_seconds = 0.0
-        site_local_spans: list[dict] = []
-        upload_entries: list[tuple] = []
-        deliveries: list[tuple[float, int, LocalModel, bool]] = []
-        models_by_site: dict[int, LocalModel] = {}
-        for site, result in zip(computing, local_results):
-            if observing:
-                outcome, wall_s, cpu_s, spans, worker_metrics = result
-                if metrics is not None:
-                    metrics.merge(worker_metrics)
-                site_local_spans.extend(spans)
-            else:
-                outcome, wall_s, cpu_s = result
-            local_cpu_seconds += cpu_s
-            model = site.apply_local_outcome(outcome, wall_s, cpu_s)
-            models_by_site[site.site_id] = model
-            sim_local = policy.sim_local_seconds(
-                site.points.shape[0], behaviors[site.site_id].slowdown
-            )
-            send_start = time.perf_counter() if tracer is not None else 0.0
-            delivery = transport.deliver(
-                site.site_id,
-                SERVER,
-                "local_model",
-                model.to_bytes(),
-                start_s=sim_local,
-            )
-            if tracer is not None:
-                upload_entries.append(
-                    (
-                        send_start,
-                        time.perf_counter(),
-                        sim_local,
-                        delivery.arrival_s,
-                        {
-                            "site": site.site_id,
-                            "bytes": delivery.bytes_sent,
-                            "delivered": delivery.delivered,
-                            "attempts": delivery.attempts,
-                        },
-                    )
-                )
-            retries += delivery.retries
-            round_sim_end = max(round_sim_end, delivery.arrival_s)
-            if delivery.delivered:
-                deliveries.append(
-                    (
-                        delivery.arrival_s,
-                        site.site_id,
-                        model,
-                        delivery.checksum_ok,
-                    )
-                )
-            else:
-                failed[site.site_id] = "link_failed"
-        upload_end = time.perf_counter()
-
-        # Step 3: the server admits models in simulated-arrival order —
-        # integrity gate first (corrupt payloads are quarantined, never
-        # merged), then the round deadline — and builds the global model
-        # from whatever was admitted.
-        quarantined_total: set[int] = set()
-        deliveries.sort(key=lambda entry: (entry[0], entry[1]))
-        for arrival_s, site_id, model, checksum_ok in deliveries:
-            verdict = server.admit(
-                model, arrival_s=arrival_s, checksum_ok=checksum_ok
-            )
-            if verdict == "quarantined":
-                failed[site_id] = "quarantined"
-                quarantined_total.add(site_id)
-            elif verdict == "deadline_missed":
-                failed[site_id] = "deadline_missed"
-        global_start = time.perf_counter()
-        global_model = server.build(allow_empty=True)
-        participating = server.admitted_site_ids
-        participating_set = set(participating)
-
-        # Broadcast to the admitted sites that are still up; everyone else
-        # keeps local labels.  The broadcast leaves once the server built
-        # the model — after the last admitted arrival (simulated clock).
-        broadcast_start = max(
-            (
-                arrival_s
-                for arrival_s, site_id, __, __ok in deliveries
-                if site_id in participating_set
-            ),
-            default=0.0,
-        )
-        local_sim_seconds = broadcast_start
-        payload = global_model.to_bytes()
-        broadcast_wall_start = time.perf_counter()
-        broadcast_entries: list[tuple] = []
-        receivers: list[ClientSite] = []
-        for site in sites:
-            site_id = site.site_id
-            if site_id not in participating_set:
-                continue
-            # A crash-after-send site still gets its broadcast attempts —
-            # the server is not omniscient — they just can never land.
-            receiver_down = behaviors[site_id].crashes_after_send
-            send_start = time.perf_counter() if tracer is not None else 0.0
-            delivery = transport.deliver(
-                SERVER,
-                site_id,
-                "global_model",
-                payload,
-                start_s=broadcast_start,
-                receiver_down=receiver_down,
-            )
-            if tracer is not None:
-                broadcast_entries.append(
-                    (
-                        send_start,
-                        time.perf_counter(),
-                        broadcast_start,
-                        delivery.arrival_s,
-                        {
-                            "site": site_id,
-                            "bytes": delivery.bytes_sent,
-                            "delivered": delivery.delivered,
-                            "attempts": delivery.attempts,
-                        },
-                    )
-                )
-            retries += delivery.retries
-            round_sim_end = max(round_sim_end, delivery.arrival_s)
-            if receiver_down:
-                failed[site_id] = "crash_after_send"
-            elif delivery.delivered and delivery.checksum_ok:
-                receivers.append(site)
-            elif delivery.delivered:
-                # The bytes arrived but flipped in flight: the site must
-                # not apply a corrupt global model.
-                failed[site_id] = "broadcast_corrupt"
-            else:
-                failed[site_id] = "broadcast_lost"
-        broadcast_wall_end = time.perf_counter()
-
-        # Step 4 on the sites that actually hold the global model.
-        relabel_start = time.perf_counter()
-        relabel_results = self._relabel_fanout(receivers, global_model, observing)
-        relabel_compute_end = time.perf_counter()
-        relabel_wall_seconds = relabel_compute_end - relabel_start
-        relabel_cpu_seconds = 0.0
-        site_relabel_spans: list[dict] = []
-        for site, result in zip(receivers, relabel_results):
-            if observing:
-                global_labels, stats, wall_s, cpu_s, spans = result
-                site_relabel_spans.extend(spans)
-            else:
-                global_labels, stats, wall_s, cpu_s = result
-            relabel_cpu_seconds += cpu_s
-            site.apply_relabel(global_labels, stats, wall_s, cpu_s)
-        relabel_end = time.perf_counter()
-
-        # --- Recovery rounds (RecoveryPolicy). -------------------------
-        # Failed sites rejoin, the server heals the global model
-        # incrementally, stale receivers get the repaired model again.
-        # With ``max_recovery_rounds = 0`` (the default) nothing below
-        # runs and the round is bit-identical to the single-round
-        # protocol.
-        recovery = self.recovery_policy
-        recovery_rounds_stats: list[RecoveryRoundStats] = []
-        recovery_entries: list[dict] = []
-        stale: set[int] = set()
-        recovered_total: set[int] = set()
-        relabeled_sites = {site.site_id for site in receivers}
-        sites_by_id = {site.site_id: site for site in sites}
-        repairer: GlobalModelRepairer | None = None
-        rounds_used = 0
-        for round_index in range(1, recovery.max_recovery_rounds + 1):
+        for round_index in range(recovery.max_recovery_rounds + 1):
             reasons = dict(failed)
-            attempted = sorted(set(reasons) | stale)
-            if not attempted:
-                break
-            rounds_used += 1
-            round_wall_start = time.perf_counter()
-            round_start = round_sim_end + recovery.backoff_seconds(round_index)
-            round_sim_last = round_start
-            retries_before = retries
-            round_send_entries: list[tuple] = []
-            round_local_spans: list[dict] = []
-            round_relabel_spans: list[dict] = []
+            if round_index == 0:
+                attempted = sorted(sites_by_id)
+                round_start = 0.0
+                # Crash decisions are drawn once, for the base round; a
+                # site that crashed before its local phase reboots and
+                # computes in the next round (stragglers stay slow).
+                for site_id in attempted:
+                    if behaviors[site_id].crashes_before_local:
+                        failed[site_id] = "crash_before_local"
+            else:
+                attempted = sorted(set(reasons) | stale)
+                if not attempted:
+                    break
+                round_start = round_sim_end + recovery.backoff_seconds(round_index)
+                # Recovery rounds run their own deadline, relative to
+                # the round start like the base round's.
+                core.server.deadline_s = recovery.deadline_s
+            log = _RoundLog(round_start, time.perf_counter())
+            rounds.append(log)
 
-            # Reboot: a site that crashed before its local phase runs it
-            # now (crash decisions are not re-drawn — the site is assumed
-            # back up — but its straggler slowdown still applies).
-            rebooting = [
+            # Steps 1+2: sites without a local model compute one (possibly
+            # in parallel); results are applied in deterministic site
+            # order so reports match sequential runs.
+            computing = [
                 sites_by_id[site_id]
                 for site_id in attempted
-                if reasons.get(site_id) == "crash_before_local"
+                if site_id not in models_by_site
+                and not (round_index == 0 and behaviors[site_id].crashes_before_local)
             ]
-            reboot_results = self._local_fanout(rebooting, observing)
-            fresh_compute: set[int] = set()
-            for site, result in zip(rebooting, reboot_results):
+            local_results = self._local_fanout(computing, observing)
+            log.compute_end = time.perf_counter()
+            for site, result in zip(computing, local_results):
                 if observing:
                     outcome, wall_s, cpu_s, spans, worker_metrics = result
                     if metrics is not None:
                         metrics.merge(worker_metrics)
-                    round_local_spans.extend(spans)
+                    log.local_spans.extend(spans)
                 else:
                     outcome, wall_s, cpu_s = result
                 local_cpu_seconds += cpu_s
                 models_by_site[site.site_id] = site.apply_local_outcome(
                     outcome, wall_s, cpu_s
                 )
-                fresh_compute.add(site.site_id)
 
-            # Re-upload: every upload-reason site resubmits its model
-            # through the same faulty transport (fresh sequence numbers,
-            # so the retry streams differ from the first round's).
-            round_deliveries: list[tuple[float, int, LocalModel, bool]] = []
-            rebroadcast_start = round_start
+            # Upload: fresh models and every upload-reason resubmission
+            # ride the transport (fresh sequence numbers per message, so
+            # a resubmission's retry stream differs from the first try's).
+            fresh = {site.site_id for site in computing}
+            deliveries: list[tuple[float, int, bool]] = []
             for site_id in attempted:
-                if reasons.get(site_id) not in _UPLOAD_REASONS:
+                if site_id not in fresh and reasons.get(site_id) not in _UPLOAD_REASONS:
                     continue
-                model = models_by_site[site_id]
                 start_s = round_start
-                if site_id in fresh_compute:
+                if site_id in fresh:
                     start_s += policy.sim_local_seconds(
                         sites_by_id[site_id].points.shape[0],
                         behaviors[site_id].slowdown,
                     )
-                send_start = time.perf_counter() if tracer is not None else 0.0
-                delivery = transport.deliver(
+                delivery = log.deliver(
+                    transport,
+                    tracer,
                     site_id,
-                    SERVER,
                     "local_model",
-                    model.to_bytes(),
-                    start_s=start_s,
+                    models_by_site[site_id].to_bytes(),
+                    start_s,
                 )
-                if tracer is not None:
-                    round_send_entries.append(
-                        (
-                            send_start,
-                            time.perf_counter(),
-                            start_s,
-                            delivery.arrival_s,
-                            {
-                                "site": site_id,
-                                "kind": "local_model",
-                                "bytes": delivery.bytes_sent,
-                                "delivered": delivery.delivered,
-                                "attempts": delivery.attempts,
-                            },
-                        )
-                    )
-                retries += delivery.retries
-                round_sim_last = max(round_sim_last, delivery.arrival_s)
                 if delivery.delivered:
-                    round_deliveries.append(
-                        (
-                            delivery.arrival_s,
-                            site_id,
-                            model,
-                            delivery.checksum_ok,
-                        )
+                    deliveries.append(
+                        (delivery.arrival_s, site_id, delivery.checksum_ok)
                     )
                 else:
                     failed[site_id] = "link_failed"
+            log.upload_end = time.perf_counter()
 
-            # Admission under the per-round recovery deadline (relative
-            # to the round start; arrival exactly *at* it is admitted).
-            # Integrity first, as in the main round: a corrupt or invalid
-            # resubmission is quarantined regardless of when it arrived.
-            round_quarantined: list[int] = []
-            admitted_models: list[tuple[int, LocalModel]] = []
-            round_deliveries.sort(key=lambda entry: (entry[0], entry[1]))
-            for arrival_s, site_id, model, checksum_ok in round_deliveries:
-                if not checksum_ok or model.validate():
-                    server.admit(
-                        model,
-                        arrival_s=arrival_s,
-                        checksum_ok=checksum_ok,
-                        enforce_deadline=False,
-                    )
-                    failed[site_id] = "quarantined"
+            # Step 3: the gate admits in simulated-arrival order —
+            # integrity first (corrupt payloads are quarantined, never
+            # merged), then the round deadline — and the core commits
+            # whatever was admitted.
+            admitted: list[LocalModel] = []
+            quarantined: list[int] = []
+            broadcast_start = round_start
+            for arrival_s, site_id, checksum_ok in sorted(deliveries):
+                model = models_by_site[site_id]
+                verdict = core.admit(
+                    model, arrival_s=arrival_s - round_start, checksum_ok=checksum_ok
+                )
+                if verdict == "admitted":
+                    admitted.append(model)
+                    broadcast_start = max(broadcast_start, arrival_s)
+                    continue
+                failed[site_id] = verdict
+                if verdict == "quarantined":
                     quarantined_total.add(site_id)
-                    round_quarantined.append(site_id)
-                elif (
-                    recovery.deadline_s is not None
-                    and arrival_s - round_start > recovery.deadline_s
-                ):
-                    failed[site_id] = "deadline_missed"
-                else:
-                    server.admit(
-                        model, arrival_s=arrival_s, enforce_deadline=False
-                    )
-                    admitted_models.append((site_id, model))
-                    rebroadcast_start = max(rebroadcast_start, arrival_s)
+                    quarantined.append(site_id)
+            log.global_start = time.perf_counter()
+            global_model = core.commit(admitted)
+            if round_index == 0:
+                local_sim_seconds = broadcast_start
 
-            # Heal the global model incrementally with the late models —
-            # no from-scratch DBSCAN (the equivalence tests pin that the
-            # repaired partition matches a rebuild anyway).
-            model_changed = any(
-                len(model.representatives) for __, model in admitted_models
-            )
-            if admitted_models:
-                if len(global_model) == 0 and model_changed:
-                    # Nothing to repair onto: the base round admitted no
-                    # representatives, so eps_global never got a real
-                    # value.  A full rebuild re-derives the paper default.
-                    global_model = server.build(allow_empty=True)
-                    repairer = GlobalModelRepairer(
-                        global_model, metric=self.config.metric
-                    )
-                else:
-                    if repairer is None:
-                        repairer = GlobalModelRepairer(
-                            global_model, metric=self.config.metric
-                        )
-                    for __, model in admitted_models:
-                        global_model, __changed = repairer.add_model(model)
-
-            # Re-broadcast: recovering sites always get the model; every
-            # previously relabeled (or stale) site gets it again whenever
-            # the repair added representatives — new representatives can
-            # promote noise on *any* site (Definition 9), not just on the
-            # late one's.
+            # Broadcast: sites that missed it, sites admitted this round
+            # and stale sites get the model; when new representatives
+            # arrived, so does every relabeled site — they can promote
+            # noise on *any* site (Definition 9), not just the late one's.
             need_broadcast = {
                 site_id
                 for site_id in attempted
                 if reasons.get(site_id) in _BROADCAST_REASONS
             }
-            need_broadcast.update(site_id for site_id, __ in admitted_models)
+            need_broadcast.update(model.site_id for model in admitted)
             need_broadcast.update(stale)
-            if model_changed:
-                need_broadcast.update(relabeled_sites)
+            if any(len(model.representatives) for model in admitted):
+                need_broadcast.update(relabeled)
             payload = global_model.to_bytes()
-            round_receivers: list[ClientSite] = []
+            log.broadcast_start = time.perf_counter()
+            receivers: list[ClientSite] = []
             for site_id in sorted(need_broadcast):
-                send_start = time.perf_counter() if tracer is not None else 0.0
-                delivery = transport.deliver(
-                    SERVER,
+                # A crash-after-send site still gets its broadcast
+                # attempts — the server is not omniscient — they just can
+                # never land.
+                receiver_down = (
+                    round_index == 0 and behaviors[site_id].crashes_after_send
+                )
+                delivery = log.deliver(
+                    transport,
+                    tracer,
                     site_id,
                     "global_model",
                     payload,
-                    start_s=rebroadcast_start,
+                    broadcast_start,
+                    receiver_down=receiver_down,
                 )
-                if tracer is not None:
-                    round_send_entries.append(
-                        (
-                            send_start,
-                            time.perf_counter(),
-                            rebroadcast_start,
-                            delivery.arrival_s,
-                            {
-                                "site": site_id,
-                                "kind": "global_model",
-                                "bytes": delivery.bytes_sent,
-                                "delivered": delivery.delivered,
-                                "attempts": delivery.attempts,
-                            },
-                        )
-                    )
-                retries += delivery.retries
-                round_sim_last = max(round_sim_last, delivery.arrival_s)
                 if delivery.delivered and delivery.checksum_ok:
-                    round_receivers.append(sites_by_id[site_id])
+                    receivers.append(sites_by_id[site_id])
+                elif site_id in relabeled:
+                    # A relabeled site that misses a refresh is *stale*,
+                    # not failed: its old labels are still internally
+                    # consistent, just out of date.  It is retried next
+                    # round and never fallback-wiped.
+                    stale.add(site_id)
+                elif receiver_down:
+                    failed[site_id] = "crash_after_send"
                 else:
-                    reason = (
-                        "broadcast_corrupt"
-                        if delivery.delivered
-                        else "broadcast_lost"
+                    # Bytes that flipped in flight must not be applied.
+                    failed[site_id] = (
+                        "broadcast_corrupt" if delivery.delivered else "broadcast_lost"
                     )
-                    if site_id in failed:
-                        failed[site_id] = reason
-                    else:
-                        # A healthy receiver that misses a refresh is
-                        # *stale*, not failed: its old labels are still
-                        # internally consistent, just out of date.  It is
-                        # retried next round and never fallback-wiped.
-                        stale.add(site_id)
+            log.broadcast_end = time.perf_counter()
 
-            # Step 4 for everyone who received the repaired model.
-            round_relabel_results = self._relabel_fanout(
-                round_receivers, global_model, observing
-            )
-            round_changed: list[int] = []
-            round_recovered: list[int] = []
-            for site, result in zip(round_receivers, round_relabel_results):
+            # Step 4 on the sites that actually hold the model.
+            log.relabel_start = time.perf_counter()
+            relabel_results = self._relabel_fanout(receivers, global_model, observing)
+            log.relabel_compute_end = time.perf_counter()
+            changed: list[int] = []
+            recovered: list[int] = []
+            for site, result in zip(receivers, relabel_results):
                 if observing:
-                    global_labels, site_stats, wall_s, cpu_s, spans = result
-                    round_relabel_spans.extend(spans)
+                    global_labels, stats, wall_s, cpu_s, spans = result
+                    log.relabel_spans.extend(spans)
                 else:
-                    global_labels, site_stats, wall_s, cpu_s = result
+                    global_labels, stats, wall_s, cpu_s = result
                 relabel_cpu_seconds += cpu_s
                 site_id = site.site_id
-                old_labels = (
-                    site.global_labels if site_id in relabeled_sites else None
-                )
-                site.apply_relabel(global_labels, site_stats, wall_s, cpu_s)
+                old_labels = site.global_labels if site_id in relabeled else None
+                site.apply_relabel(global_labels, stats, wall_s, cpu_s)
                 if old_labels is None or not np.array_equal(
                     old_labels, site.global_labels
                 ):
-                    round_changed.append(site_id)
+                    changed.append(site_id)
                 if site_id in failed:
                     del failed[site_id]
                     recovered_total.add(site_id)
-                    round_recovered.append(site_id)
+                    recovered.append(site_id)
                 stale.discard(site_id)
-                relabeled_sites.add(site_id)
-
-            round_sim_end = max(round_sim_end, round_sim_last)
-            round_wall_end = time.perf_counter()
+                relabeled.add(site_id)
+            log.end = time.perf_counter()
+            round_sim_end = max(round_sim_end, log.sim_end)
+            if round_index == 0:
+                continue
+            log.attrs = {
+                "attempted": len(attempted),
+                "recovered": len(recovered),
+                "rebroadcast": len(need_broadcast),
+            }
             recovery_rounds_stats.append(
                 RecoveryRoundStats(
                     round_index=round_index,
                     start_sim_seconds=round_start,
-                    end_sim_seconds=round_sim_last,
-                    wall_seconds=round_wall_end - round_wall_start,
+                    end_sim_seconds=log.sim_end,
+                    wall_seconds=log.end - log.wall_start,
                     attempted_sites=attempted,
-                    recovered_sites=sorted(round_recovered),
-                    quarantined_sites=sorted(round_quarantined),
+                    recovered_sites=sorted(recovered),
+                    quarantined_sites=sorted(quarantined),
                     rebroadcast_sites=sorted(need_broadcast),
-                    relabel_changed_sites=sorted(round_changed),
+                    relabel_changed_sites=sorted(changed),
                     still_failed_sites=sorted(failed),
-                    retries=retries - retries_before,
+                    retries=log.retries,
                 )
             )
             if metrics is not None:
                 metrics.inc("recovery.rounds")
-            if tracer is not None:
-                recovery_entries.append(
-                    {
-                        "round_index": round_index,
-                        "wall_start": round_wall_start,
-                        "wall_end": round_wall_end,
-                        "sim_start": round_start,
-                        "sim_end": round_sim_last,
-                        "attrs": {
-                            "attempted": len(attempted),
-                            "recovered": len(round_recovered),
-                            "rebroadcast": len(need_broadcast),
-                        },
-                        "site_local_spans": round_local_spans,
-                        "site_relabel_spans": round_relabel_spans,
-                        "send_entries": round_send_entries,
-                    }
-                )
         if metrics is not None and recovered_total:
             metrics.set("recovery.recovered_sites", len(recovered_total))
-        participating = server.admitted_site_ids
+        participating = core.server.admitted_site_ids
 
         # Degraded fallback, in deterministic site order: fresh global ids
         # beyond everything the global model handed out.
@@ -1765,7 +1313,7 @@ class DistributedRunner:
         self._close_shm_pool()
         run_end = time.perf_counter()
 
-        degraded = bool(failed) or bool(stale) or not server.quorum_met
+        degraded = bool(failed) or bool(stale) or not core.server.quorum_met
         if metrics is not None:
             metrics.set("runner.participating_sites", len(participating))
             metrics.set("runner.failed_sites", len(failed))
@@ -1774,23 +1322,17 @@ class DistributedRunner:
         trace = None
         if tracer is not None:
             self._record_run_spans(
-                mode="degraded",
+                mode="degraded" if faulty else "fault_free",
                 n_sites=len(sites),
                 run_window=(run_start, run_end),
-                local_window=(local_start, compute_end, upload_end),
-                site_local_spans=site_local_spans,
-                upload_entries=upload_entries,
-                global_window=(global_start, server.global_seconds),
+                rounds=rounds,
+                global_seconds=core.server.global_seconds,
                 n_representatives=len(global_model),
-                broadcast_window=(broadcast_wall_start, broadcast_wall_end),
-                broadcast_entries=broadcast_entries,
-                relabel_window=(relabel_start, relabel_compute_end, relabel_end),
-                site_relabel_spans=site_relabel_spans,
-                fallback_window=(fallback_start, run_end),
-                recovery_entries=recovery_entries,
+                fallback_window=(fallback_start, run_end) if faulty else None,
             )
             trace = trace_document(tracer, metrics)
 
+        base = rounds[0]
         raw_bytes, raw_seconds = self._raw_cost(site_points)
         return DistributedRunReport(
             sites=sites,
@@ -1801,23 +1343,26 @@ class DistributedRunner:
             max_local_wall_seconds=max(
                 site.times.local_wall_seconds for site in sites
             ),
-            global_wall_seconds=server.global_seconds,
+            global_wall_seconds=core.server.global_seconds,
             assignment=assignment,
-            local_wall_seconds=local_wall_seconds,
+            local_wall_seconds=base.compute_end - base.wall_start,
             local_cpu_seconds=local_cpu_seconds,
-            relabel_wall_seconds=relabel_wall_seconds,
+            relabel_wall_seconds=base.relabel_compute_end - base.relabel_start,
             relabel_cpu_seconds=relabel_cpu_seconds,
-            local_sim_seconds=local_sim_seconds,
-            round_sim_seconds=round_sim_end,
-            participating_sites=participating,
+            # A clean run's simulated clock is an artifact of the shared
+            # path, not a protocol outcome: report it, and the arrival
+            # order it induces, only under faults.
+            local_sim_seconds=local_sim_seconds if faulty else 0.0,
+            round_sim_seconds=round_sim_end if faulty else 0.0,
+            participating_sites=participating if faulty else sorted(participating),
             failed_sites=sorted(failed),
-            retries=retries,
+            retries=sum(log.retries for log in rounds),
             degraded=degraded,
-            transport_stats=transport.stats,
+            transport_stats=transport.stats if faulty else None,
             recovered_sites=sorted(recovered_total),
             quarantined_sites=sorted(quarantined_total),
             stale_sites=sorted(stale),
-            recovery_rounds_used=rounds_used,
+            recovery_rounds_used=len(recovery_rounds_stats),
             recovery_rounds=recovery_rounds_stats,
             trace=trace,
             effective_parallelism=self._effective_parallelism,
@@ -1826,6 +1371,111 @@ class DistributedRunner:
             shm_setup_seconds=self._shm_setup_seconds,
             shm_teardown_seconds=self._shm_teardown_seconds,
         )
+
+    def _record_run_spans(
+        self,
+        *,
+        mode: str,
+        n_sites: int,
+        run_window: tuple[float, float],
+        rounds: list[_RoundLog],
+        global_seconds: float,
+        n_representatives: int,
+        fallback_window: tuple[float, float] | None,
+    ) -> None:
+        """Assemble the run's span tree post-hoc from the *same*
+        ``perf_counter`` reads that produced the report's timing fields,
+        so trace and report reconcile exactly.
+
+        The base round spreads over the ``local_phase`` / ``global_phase``
+        / ``broadcast`` / ``relabel`` spans; every recovery round is one
+        ``recovery_round[r]`` span.  ``global_seconds`` is the server's
+        own measurement of its last build.
+        """
+        tracer = self.tracer
+        run_span = tracer.record(
+            "run",
+            wall_start=run_window[0],
+            wall_end=run_window[1],
+            attrs={"mode": mode, "n_sites": n_sites},
+        )
+        base = rounds[0]
+        local_span = tracer.record(
+            "local_phase",
+            wall_start=base.wall_start,
+            wall_end=base.upload_end,
+            parent=run_span,
+        )
+        compute_span = tracer.record(
+            "compute",
+            wall_start=base.wall_start,
+            wall_end=base.compute_end,
+            parent=local_span,
+        )
+        _graft_worker_spans(compute_span, base.local_spans)
+        upload_span = tracer.record(
+            "upload",
+            wall_start=base.compute_end,
+            wall_end=base.upload_end,
+            parent=local_span,
+        )
+        tracer.record(
+            "global_phase",
+            wall_start=base.global_start,
+            wall_end=base.global_start + global_seconds,
+            attrs={"n_representatives": n_representatives},
+            parent=run_span,
+        )
+        broadcast_span = tracer.record(
+            "broadcast",
+            wall_start=base.broadcast_start,
+            wall_end=base.broadcast_end,
+            parent=run_span,
+        )
+        relabel_span = tracer.record(
+            "relabel",
+            wall_start=base.relabel_start,
+            wall_end=base.end,
+            parent=run_span,
+        )
+        relabel_compute = tracer.record(
+            "compute",
+            wall_start=base.relabel_start,
+            wall_end=base.relabel_compute_end,
+            parent=relabel_span,
+        )
+        _graft_worker_spans(relabel_compute, base.relabel_spans)
+        parents = {"local_model": upload_span, "global_model": broadcast_span}
+        for round_index, log in enumerate(rounds):
+            if round_index:
+                round_span = tracer.record(
+                    f"recovery_round[{round_index}]",
+                    wall_start=log.wall_start,
+                    wall_end=log.end,
+                    sim_start=log.sim_start,
+                    sim_end=log.sim_end,
+                    attrs=log.attrs,
+                    parent=run_span,
+                )
+                _graft_worker_spans(round_span, log.local_spans + log.relabel_spans)
+                parents = dict.fromkeys(parents, round_span)
+            for w0, w1, s0, s1, attrs in log.sends:
+                tracer.record(
+                    f"send[{attrs['kind']}]",
+                    wall_start=w0,
+                    wall_end=w1,
+                    sim_start=s0,
+                    sim_end=s1,
+                    attrs=attrs,
+                    parent=parents[attrs["kind"]],
+                )
+        if fallback_window is not None:
+            tracer.record(
+                "degraded_fallback",
+                wall_start=fallback_window[0],
+                wall_end=fallback_window[1],
+                parent=run_span,
+            )
 
     def _map_over(self, task: Callable[[_T], _R], items: Sequence[_T]) -> list[_R]:
         """Run ``task`` over ``items``, in order, possibly concurrently.

@@ -187,6 +187,10 @@ class CentralServer:
     def build(self, *, allow_empty: bool = False) -> GlobalModel:
         """Step 3: cluster the admitted representatives into the global model.
 
+        The admitted models are clustered in site-id order (a stable sort
+        of a copy — :attr:`admitted_site_ids` keeps arrival order), so the
+        model does not depend on which upload happened to arrive first.
+
         Args:
             allow_empty: return an empty global model instead of raising
                 when no model was admitted (degraded-mode runs where every
@@ -212,7 +216,7 @@ class CentralServer:
             return self._model
         start = time.perf_counter()
         self._model, self._stats = build_global_model(
-            self.local_models,
+            sorted(self.local_models, key=lambda model: model.site_id),
             eps_global=self.eps_global,
             metric=self.metric,
             index_kind=self.index_kind,

@@ -187,8 +187,8 @@ class FaultPlan:
     # ------------------------------------------------------------------
     @classmethod
     def none(cls, seed: int = 0) -> "FaultPlan":
-        """A plan that injects nothing (the runner takes the exact
-        fault-free code path for it)."""
+        """A plan that injects nothing (a runner under it reports a
+        clean run)."""
         return cls(seed=seed)
 
     @classmethod

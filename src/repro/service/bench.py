@@ -11,7 +11,10 @@ run on three axes the regress rules gate:
   ``serve.scrape_roundtrip_ok``: the live OpenMetrics endpoint must
   strict-parse.
 * **reliability** — ``serve.upload_failed`` / ``serve.query_failed``
-  stay at zero.
+  stay at zero.  Every query reply is checked against the reference
+  relabel kernel over the served model, so a wrong answer is a failed
+  query; the report's ``query_failures`` names each failure's cause
+  (``label_mismatch`` or the exception type).
 * **throughput/latency** — ``serve.query_throughput_rps`` and the
   ``serve.*_wall_seconds`` percentiles (timing-tagged: dropped on
   cross-machine CI comparisons, gated on like-for-like reruns).
@@ -28,9 +31,14 @@ import tempfile
 import threading
 import time
 import urllib.request
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from repro.clustering.labels import NOISE
+from repro.core.models import GlobalModel
+from repro.core.relabel import relabel_site
 from repro.data.datasets import load_dataset
 from repro.distributed.partition import partition, split
 from repro.distributed.runner import DistributedRunConfig, DistributedRunner
@@ -55,6 +63,28 @@ def _percentile(samples: list[float], q: float) -> float:
     if not samples:
         return 0.0
     return float(np.percentile(np.asarray(samples), q))
+
+
+#: Points per slice of the reference relabel; keeps its distance
+#: matrices, and so the bench's memory high-water mark, small.
+_REFERENCE_SLICE = 2048
+
+
+def _reference_labels(points: np.ndarray, model: GlobalModel) -> np.ndarray:
+    """The label a query must return for each point under ``model``."""
+    n_slices = max(1, -(-points.shape[0] // _REFERENCE_SLICE))
+    return np.concatenate(
+        [
+            relabel_site(
+                part,
+                np.full(part.shape[0], NOISE, dtype=np.intp),
+                model,
+                site_id=None,
+                kernel="reference",
+            )[0]
+            for part in np.array_split(points, n_slices)
+        ]
+    )
 
 
 def run_serve_bench(
@@ -227,43 +257,33 @@ def _run_serve_bench_journaled(
 
         # Phase 4: sustained concurrent label-query load.  Every client
         # owns one connection and walks fixed slices of the data set, so
-        # the total work is deterministic; only the timings vary.
-        latencies: list[float] = []
-        latency_lock = threading.Lock()
-        query_failures = [0] * n_clients
-        per_client = [
-            list(range(client, n_queries, n_clients))
-            for client in range(n_clients)
-        ]
-        n_points = points.shape[0]
-
-        def query_client(client: int) -> None:
-            mine: list[float] = []
-            try:
-                with ServiceClient(handle.host, handle.port) as service:
-                    for index in per_client[client]:
-                        lo = (index * query_batch) % max(n_points - query_batch, 1)
-                        batch = points[lo : lo + query_batch]
-                        start = time.perf_counter()
-                        labels = service.query(batch)
-                        mine.append(time.perf_counter() - start)
-                        if labels.size != batch.shape[0]:
-                            query_failures[client] += 1
-            except Exception:
-                query_failures[client] += len(per_client[client]) - len(mine)
-            with latency_lock:
-                latencies.extend(mine)
-
+        # the total work is deterministic; only the timings vary.  Each
+        # reply is checked against the reference labels of the served
+        # model, computed once before the storm.
+        with ServiceClient(handle.host, handle.port) as service:
+            expected = _reference_labels(
+                points, service.await_global_model(timeout_s=30.0)
+            )
         query_start = time.perf_counter()
-        clients = [
-            threading.Thread(target=query_client, args=(client,))
-            for client in range(n_clients)
-        ]
-        for thread in clients:
-            thread.start()
-        for thread in clients:
-            thread.join()
+        with ThreadPoolExecutor(max_workers=n_clients) as pool:
+            outcomes = list(
+                pool.map(
+                    lambda client: _query_slice(
+                        handle.host,
+                        handle.port,
+                        points,
+                        expected,
+                        list(range(client, n_queries, n_clients)),
+                        query_batch,
+                    ),
+                    range(n_clients),
+                )
+            )
         query_seconds = time.perf_counter() - query_start
+        latencies = [latency for mine, __ in outcomes for latency in mine]
+        query_failures: Counter[str] = Counter()
+        for __, failures in outcomes:
+            query_failures.update(failures)
 
         # Phase 5: live scrape of the HTTP OpenMetrics endpoint, parsed
         # with the strict parser — a malformed exposition *or* a missing
@@ -339,11 +359,12 @@ def _run_serve_bench_journaled(
     drill_seconds = time.perf_counter() - drill_start
 
     total_seconds = time.perf_counter() - bench_start
-    n_failed_queries = sum(query_failures)
+    n_failed_queries = sum(query_failures.values())
     n_ok_queries = len(latencies)
     throughput = n_ok_queries / query_seconds if query_seconds > 0 else 0.0
 
     report["health"] = health
+    report["query_failures"] = dict(sorted(query_failures.items()))
     report["metrics"] = {
         "serve.labels_identical": 1.0 if labels_identical else 0.0,
         "serve.scrape_roundtrip_ok": scrape_ok,
@@ -417,11 +438,52 @@ def _count_named_spans(doc: dict, name: str | None) -> int:
     return count(doc.get("spans", []))
 
 
+def _query_slice(
+    host: str,
+    port: int,
+    points: np.ndarray,
+    expected: np.ndarray,
+    indices: list[int],
+    query_batch: int,
+) -> tuple[list[float], Counter[str]]:
+    """Send query ``index`` for every index over one connection.
+
+    Query ``index`` labels ``query_batch`` points from a fixed offset;
+    its reply must equal ``expected`` there.
+
+    Returns:
+        ``(latencies, failures)`` — one latency per correct reply, and
+        the failed queries counted by cause: ``label_mismatch`` for a
+        wrong reply, else the exception type that ended the connection
+        (every query it left unsent fails with it).
+    """
+    n_points = points.shape[0]
+    latencies: list[float] = []
+    failures: Counter[str] = Counter()
+    n_sent = 0
+    try:
+        with ServiceClient(host, port) as service:
+            for index in indices:
+                lo = (index * query_batch) % max(n_points - query_batch, 1)
+                start = time.perf_counter()
+                labels = service.query(points[lo : lo + query_batch])
+                elapsed = time.perf_counter() - start
+                n_sent += 1
+                if np.array_equal(labels, expected[lo : lo + query_batch]):
+                    latencies.append(elapsed)
+                else:
+                    failures["label_mismatch"] += 1
+    except Exception as error:
+        failures[type(error).__name__] += len(indices) - n_sent
+    return latencies, failures
+
+
 def _sweep_worker(
     host: str,
     port: int,
     dataset: str,
     cardinality: int | None,
+    expected: np.ndarray,
     n_queries: int,
     query_batch: int,
     client_index: int,
@@ -432,27 +494,21 @@ def _sweep_worker(
 
     Module-level so the ``spawn`` start method can import it; the child
     reloads the data set itself (deterministic for a fixed name/size),
-    so nothing is pickled but scalars.
+    so only scalars and the expected labels are pickled.
     """
-    data = load_dataset(dataset, cardinality=cardinality)
-    points = data.points
-    n_points = points.shape[0]
-    indices = list(range(client_index, n_queries, n_clients))
-    n_ok = n_failed = 0
+    points = load_dataset(dataset, cardinality=cardinality).points
     start = time.perf_counter()
-    try:
-        with ServiceClient(host, port) as service:
-            for index in indices:
-                lo = (index * query_batch) % max(n_points - query_batch, 1)
-                batch = points[lo : lo + query_batch]
-                labels = service.query(batch)
-                if labels.size == batch.shape[0]:
-                    n_ok += 1
-                else:
-                    n_failed += 1
-    except Exception:
-        n_failed += len(indices) - n_ok
-    out_queue.put((client_index, n_ok, n_failed, time.perf_counter() - start))
+    latencies, failures = _query_slice(
+        host,
+        port,
+        points,
+        expected,
+        list(range(client_index, n_queries, n_clients)),
+        query_batch,
+    )
+    out_queue.put(
+        (client_index, len(latencies), dict(failures), time.perf_counter() - start)
+    )
 
 
 def run_client_sweep(
@@ -532,6 +588,10 @@ def run_client_sweep(
             thread.start()
         for thread in upload_threads:
             thread.join()
+        with ServiceClient(handle.host, handle.port) as service:
+            expected = _reference_labels(
+                points, service.await_global_model(timeout_s=30.0)
+            )
 
         for n_clients in client_counts:
             out_queue = context.Queue()
@@ -543,6 +603,7 @@ def run_client_sweep(
                         handle.port,
                         dataset,
                         cardinality,
+                        expected,
                         n_queries,
                         query_batch,
                         client_index,
@@ -560,10 +621,15 @@ def run_client_sweep(
                 process.join()
             wall = time.perf_counter() - sweep_start
             n_ok = sum(row[1] for row in results)
-            n_failed = sum(row[2] for row in results)
+            failures: Counter[str] = Counter()
+            for row in results:
+                failures.update(row[2])
             # Process exits without a result (crash before the queue
             # put) would show up here as missing queries.
-            n_failed += max(0, n_queries - n_ok - n_failed)
+            missing = n_queries - n_ok - sum(failures.values())
+            if missing > 0:
+                failures["no_result"] += missing
+            n_failed = sum(failures.values())
             throughput = n_ok / wall if wall > 0 else 0.0
             label = f"clients={n_clients}"
             metrics[f"serve.sweep_query_throughput_rps[{label}]"] = throughput
@@ -575,6 +641,7 @@ def run_client_sweep(
                     "n_clients": int(n_clients),
                     "n_ok": int(n_ok),
                     "n_failed": int(n_failed),
+                    "failures": dict(sorted(failures.items())),
                     "wall_seconds": wall,
                     "throughput_rps": throughput,
                 }
@@ -649,7 +716,11 @@ def format_serve_summary(report: dict) -> str:
         f"{'yes' if metrics['serve.scrape_roundtrip_ok'] else 'NO'} "
         f"({int(metrics['serve.scrape_families_count'])} families)",
         f"  failures: {int(metrics['serve.upload_failed'])} uploads, "
-        f"{int(metrics['serve.query_failed'])} queries",
+        f"{int(metrics['serve.query_failed'])} queries"
+        + "".join(
+            f", {count} {cause}"
+            for cause, count in report.get("query_failures", {}).items()
+        ),
         f"  throughput: {metrics['serve.query_throughput_rps']:.1f} queries/s "
         f"({int(metrics['serve.labels_served_count'])} labels served)",
         f"  query latency: p50 {1e3 * metrics['serve.query_p50_wall_seconds']:.2f}ms  "

@@ -1,18 +1,17 @@
 """DBDC as a live asyncio socket service.
 
-:class:`DBDCService` hosts the unchanged
-:class:`~repro.distributed.server.CentralServer` behind the wire
+:class:`DBDCService` hosts the protocol's
+:class:`~repro.distributed.round_core.RoundCore` behind the wire
 protocol of :mod:`repro.service.wire`: sites connect over TCP, upload
 local models (admitted through the same integrity/deadline gate the
 simulated path uses), await the global model, and issue label queries;
 operators probe health frames and scrape a plaintext HTTP endpoint
 serving the existing OpenMetrics exporter.
 
-Determinism contract: before every build the admitted models are
-stably sorted by site id.  A fault-free in-process run admits models in
-site order, so a socket run whose uploads race each other still builds
-the *same* global model — the bit-identical-labels guarantee the
-integration tests pin.
+Determinism contract: the round core builds from the admitted models
+stably sorted by site id, as it does for the in-process runner, so a
+socket run whose uploads race each other still builds the *same* global
+model — the bit-identical-labels guarantee the integration tests pin.
 
 Concurrency model: one event loop owns all protocol state, so admission
 and build are race-free by construction; only the numpy-heavy label
@@ -24,9 +23,9 @@ waiters receive a typed ``shutting_down`` frame before their connection
 closes.
 
 Streaming sessions (ROUND_OPEN / ROUND_COMMIT / MODEL_DELTA) put the
-incremental protocol behind the same wire: round 0 commits through the
-standard sorted build, every later round folds its admitted models into
-the session model via
+incremental protocol behind the same wire: every round commits through
+the round core — round 0 as the standard sorted build, every later round
+folded into the session model via
 :class:`~repro.core.global_model.GlobalModelRepairer` — representatives
 strictly append, so MODEL_DELTA replies are exact.  Sites submit each
 round's batch under a fresh *effective* site id, which keeps the
@@ -56,8 +55,8 @@ from functools import partial
 import numpy as np
 
 from repro.clustering.labels import NOISE
-from repro.core.global_model import GlobalModelRepairer
 from repro.core.relabel import relabel_site
+from repro.distributed.round_core import RoundCore
 from repro.distributed.server import CentralServer
 from repro.obs import MetricsRegistry, NULL_TRACER, shift_span_times, trace_document
 from repro.obs.openmetrics import OPENMETRICS_CONTENT_TYPE, render_registry
@@ -209,7 +208,7 @@ class DBDCService:
     Args:
         config: service configuration.
         metrics: optional shared registry (fresh one otherwise); the
-            hosted ``CentralServer`` records its ``server.*`` metrics
+            hosted round core records its ``server.*`` metrics
             into the same registry the HTTP endpoint serves.
         tracer: optional :class:`~repro.obs.Tracer` for distributed
             tracing — the service records ``serve[...]`` /
@@ -231,7 +230,7 @@ class DBDCService:
         self.tracer = NULL_TRACER if tracer is None else tracer
         #: TRACE_UPLOAD documents from remote processes, merge inputs.
         self._remote_traces: list[dict] = []
-        self.server = CentralServer(
+        self.core = RoundCore(
             self.config.eps_global,
             metric=self.config.metric,
             index_kind=self.config.index_kind,
@@ -247,7 +246,6 @@ class DBDCService:
         self._built = asyncio.Event()
         self._shutdown = asyncio.Event()
         self._model_dirty = False
-        self._n_builds = 0
         self._started_monotonic = 0.0
         self._frames_total = 0
         self._n_shutdown_notices = 0
@@ -255,10 +253,7 @@ class DBDCService:
         self._session_active = False
         self._round: _StreamRound | None = None
         self._rounds_committed = 0
-        self._repairer: GlobalModelRepairer | None = None
-        self._session_model = None
         self._commit_events: dict[int, asyncio.Event] = {}
-        self._n_repairs = 0
         # Durability + overload state (ISSUE 10): the journal is only
         # attached *after* recovery replay, so replaying never journals.
         self._journal: journal.WriteAheadJournal | None = None
@@ -274,6 +269,11 @@ class DBDCService:
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
+    @property
+    def server(self) -> CentralServer:
+        """The hosted admission gate (the round core's server)."""
+        return self.core.server
+
     @property
     def bound_port(self) -> int:
         """The protocol port actually bound (after :meth:`start`)."""
@@ -388,19 +388,6 @@ class DBDCService:
         recovery = wal.recover()
         for record in recovery.records:
             self._replay_record(record)
-        expected = self.config.expected_sites
-        if self._round is not None:
-            # The crash landed between the round's last journaled model
-            # and its commit record: an uninterrupted run would have
-            # auto-committed at that admission, so finish the job.
-            if expected is not None and len(self._round.models) >= expected:
-                self._commit_round()
-        elif (
-            not self._session_active
-            and expected is not None
-            and len(self.server.local_models) >= expected
-        ):
-            self._build_global_model()
         self._epoch += 1
         self._journal = wal
         wal.append(journal.RecordKind.EPOCH, journal.encode_epoch(self._epoch))
@@ -428,27 +415,25 @@ class DBDCService:
             index = journal.decode_round_marker(record.payload)
             if self._round is not None and self._round.index == index:
                 self._commit_round()
-            # Already-committed indices are no-ops: the gap-closing
-            # auto-commit above may have run first.
+            # Already-committed indices are no-ops: the auto-commit at
+            # the round's last admission ran first.
         elif kind == journal.RecordKind.MODEL_ADMITTED:
             round_index, payload = journal.decode_admitted(record.payload)
             model = wire.decode_local_model(payload)
             # The deadline was enforced (and passed) before the record
             # was written; re-checking it against the *restart* clock
             # would wrongly reject every recovered model.
-            verdict = self.server.admit(
+            verdict = self.core.admit(
                 model, arrival_s=0.0, enforce_deadline=False
             )
             if verdict != "admitted":
                 return
             self._recovered_models += 1
-            if round_index >= 0:
-                if self._round is None or self._round.index != round_index:
-                    return
-                self._round.models.append(self.server.local_models[-1])
-                self._session_site_ids.add(model.site_id)
-            else:
-                self._model_dirty = True
+            if round_index >= 0 and (
+                self._round is None or self._round.index != round_index
+            ):
+                return
+            self._book_admission(model)
         elif kind == journal.RecordKind.QUARANTINE:
             __, site_id, reason = journal.decode_quarantine(record.payload)
             self.server.quarantine(
@@ -479,18 +464,11 @@ class DBDCService:
     # protocol state
     # ------------------------------------------------------------------
     def _build_global_model(self) -> None:
-        """(Re)build the global model from the admitted models.
-
-        Admitted models are stably sorted by site id first so the build
-        is independent of upload arrival order — the property that makes
-        socket runs bit-identical to in-process runs.
-        """
-        self.server.local_models.sort(key=lambda model: model.site_id)
-        self.server.build(allow_empty=True)
+        """(Re)build the global model from every admitted model."""
+        self.core.build()
         self._model_dirty = False
-        self._n_builds += 1
         self._built.set()
-        self.metrics.set("service.model_builds", self._n_builds)
+        self.metrics.set("service.model_builds", self.core.n_builds)
 
     def _current_model(self):
         """The up-to-date global model, rebuilding if admissions landed
@@ -499,13 +477,13 @@ class DBDCService:
         In a streaming session the session model is authoritative — it
         only advances at round commits, never on individual admissions.
         """
-        if self._session_active:
-            return self._session_model
-        if self._model_dirty or not self._built.is_set():
+        if not self._session_active and (
+            self._model_dirty or not self._built.is_set()
+        ):
             if not self.server.local_models:
                 return None
             self._build_global_model()
-        return self.server.model
+        return self.core.model
 
     def _admit(self, frame: wire.Frame) -> tuple[str, str]:
         """Run one upload through the unchanged admission gate.
@@ -528,15 +506,15 @@ class DBDCService:
                 # The payload passed its CRC but does not parse: admit a
                 # placeholder so the quarantine bookkeeping names the site.
                 model = _placeholder_model(frame.site_id)
-                verdict = self.server.admit(model, checksum_ok=False)
+                verdict = self.core.admit(model, checksum_ok=False)
                 detail = f"undecodable payload: {error}"
             else:
-                verdict = self.server.admit(model, arrival_s=arrival_s)
+                verdict = self.core.admit(model, arrival_s=arrival_s)
         else:
             # Bit-flipped in flight: the admission gate quarantines it —
             # same behavior, same code path, as the simulated transport.
             model = _decode_or_placeholder(frame)
-            verdict = self.server.admit(
+            verdict = self.core.admit(
                 model, arrival_s=arrival_s, checksum_ok=False
             )
         if verdict == "quarantined":
@@ -553,9 +531,16 @@ class DBDCService:
                 journal.encode_admitted(round_index, frame.payload),
             )
             self._journal_metrics()
+        self._book_admission(model)
+        return verdict, detail
+
+    def _book_admission(self, model) -> None:
+        """Add an admitted model to the open round (or the one-shot pool);
+        once ``expected_sites`` models are in, commit the round (or build).
+        Live uploads and journal replay both run this."""
         expected = self.config.expected_sites
         if self._session_active:
-            self._round.models.append(self.server.local_models[-1])
+            self._round.models.append(model)
             self._session_site_ids.add(model.site_id)
             if expected is not None and len(self._round.models) >= expected:
                 self._commit_round()
@@ -563,7 +548,6 @@ class DBDCService:
             self._model_dirty = True
             if expected is not None and len(self.server.local_models) >= expected:
                 self._build_global_model()
-        return verdict, detail
 
     # ------------------------------------------------------------------
     # streaming sessions
@@ -623,11 +607,10 @@ class DBDCService:
     def _commit_round(self) -> None:
         """Commit the open round into the session model.
 
-        Round 0 goes through the standard sorted build — the exact code
-        path a one-shot deployment uses — and seeds the repairer; every
-        later round folds its models (sorted by effective site id) into
-        the session model incrementally.  ``eps_global`` freezes at the
-        round-0 radius, matching :class:`GlobalModelRepairer` semantics.
+        The round core builds round 0 — the sorted build a one-shot
+        deployment uses — and folds every later round's models (sorted by
+        effective site id) into the session model incrementally;
+        ``eps_global`` freezes at the round-0 radius.
         """
         round_ = self._round
         assert round_ is not None
@@ -640,20 +623,9 @@ class DBDCService:
                 journal.RecordKind.ROUND_COMMIT,
                 journal.encode_round_marker(round_.index),
             )
-        models = sorted(round_.models, key=lambda model: model.site_id)
-        if self._repairer is None:
-            # Round 0: server.local_models holds exactly this round's
-            # admitted models, so the one-shot build applies unchanged.
-            self._build_global_model()
-            self._session_model = self.server.model
-            self._repairer = GlobalModelRepairer(
-                self._session_model, metric=self.config.metric
-            )
-        else:
-            for model in models:
-                self._session_model, __ = self._repairer.add_model(model)
-                self._n_repairs += 1
-            self.metrics.set("service.model_repairs", self._n_repairs)
+        self.core.commit(round_.models)
+        self.metrics.set("service.model_builds", self.core.n_builds)
+        self.metrics.set("service.model_repairs", self.core.n_repairs)
         self._rounds_committed = round_.index + 1
         self._round = None
         self._built.set()
@@ -672,7 +644,7 @@ class DBDCService:
                 attrs={
                     "process": "server",
                     "round": round_.index,
-                    "n_models": len(models),
+                    "n_models": len(round_.models),
                 },
             )
 
@@ -1069,7 +1041,7 @@ class DBDCService:
                     "no_model",
                     f"round {round_index} not committed after {timeout:.3f}s",
                 )
-            model = self._session_model
+            model = self.core.model
             if model is None:
                 return wire.FrameKind.ERROR, self._status(
                     "no_model", "session has no committed model"
@@ -1166,16 +1138,6 @@ class DBDCService:
     def health(self) -> dict:
         """The service's health document (HEALTH frames serve this)."""
         built = self._built.is_set() and not self._model_dirty
-        if self._session_active:
-            # The session model is authoritative; the hosted server's own
-            # model slot is invalidated by every later-round admission.
-            n_representatives = (
-                len(self._session_model.representatives)
-                if self._session_model is not None
-                else 0
-            )
-        else:
-            n_representatives = len(self.server.model) if built else 0
         return {
             "status": "serving" if not self._shutdown.is_set() else "stopping",
             "uptime_s": round(self.uptime_s, 6),
@@ -1185,8 +1147,8 @@ class DBDCService:
             "expected_sites": self.config.expected_sites,
             "quorum_met": self.server.quorum_met,
             "model_built": built,
-            "model_builds": self._n_builds,
-            "n_representatives": n_representatives,
+            "model_builds": self.core.n_builds,
+            "n_representatives": len(self.core.model) if built else 0,
             "connections_active": len(self._connections),
             "frames_total": self._frames_total,
             "protocol_version": wire.PROTOCOL_VERSION,

@@ -256,10 +256,6 @@ class TestClockNamedReportFields:
         assert report.round_sim_seconds == 0.0
         assert report.max_local_wall_seconds > 0
         assert report.global_wall_seconds > 0
-        # Back-compat aliases resolve to the wall-clock fields.
-        assert report.max_local_seconds == report.max_local_wall_seconds
-        assert report.global_seconds == report.global_wall_seconds
-        assert report.overall_seconds == report.overall_wall_seconds
 
     def test_degraded_run_reports_simulated_round(self, workload, config):
         site_points, assignment = workload

@@ -29,8 +29,8 @@ class TestRun:
         assert len(report.sites) == 3
         assert report.n_objects == blobs.shape[0]
         assert report.n_representatives == len(report.global_model)
-        assert report.overall_seconds > 0
-        assert report.global_seconds >= 0
+        assert report.overall_wall_seconds > 0
+        assert report.global_wall_seconds >= 0
 
     def test_network_traffic_accounted(self, blobs, config):
         network = SimulatedNetwork()
