@@ -38,6 +38,7 @@ from repro.core.relabel import (
     RELABEL_KERNELS,
     RelabelStats,
     relabel_site,
+    relabel_site_indexed,
     relabel_site_reference,
 )
 from repro.core.shm import ShmArrayPool, ShmArrayRef, attach_array
@@ -67,6 +68,7 @@ __all__ = [
     "RELABEL_KERNELS",
     "RelabelStats",
     "relabel_site",
+    "relabel_site_indexed",
     "relabel_site_reference",
     "ShmArrayPool",
     "ShmArrayRef",

@@ -18,6 +18,9 @@ holds every point index grouped by cell (ascending within each cell), and a
 one vectorized ``lexsort`` pass — no per-point python loop, no per-cell list
 objects — so a 10^6-point build is a sort, not a million dict appends, and a
 multi-cell gather is a handful of array slices instead of list concatenation.
+The same table is also kept as arrays (cell codes in ascending order with
+their slice bounds), so :meth:`GridIndex.candidate_pairs` can look up the
+neighbouring cells of a whole query batch with one ``searchsorted``.
 """
 
 from __future__ import annotations
@@ -29,9 +32,28 @@ import numpy as np
 from repro.data.distance import Metric
 from repro.index.base import NeighborIndex, _as_query_batch
 
-__all__ = ["GridIndex"]
+__all__ = ["GridIndex", "coordinate_reach"]
 
 _GRID_METRICS = {"euclidean", "manhattan", "chebyshev", "squared_euclidean"}
+
+#: Cell codes are int64 mixed-radix numbers; a grid whose bounding box
+#: holds more cells than this falls back to per-query dict lookups.
+_MAX_CODE = 2**62
+
+
+def coordinate_reach(metric: Metric, eps: float) -> float:
+    """Half-width of the ``L_inf`` cube containing the ``eps``-ball.
+
+    For euclidean/manhattan/chebyshev that is ``eps`` itself; for
+    squared_euclidean the ball of squared radius ``eps`` has coordinate
+    half-width ``sqrt(eps)`` (larger than ``eps`` when ``eps < 1`` —
+    using ``eps`` there would silently drop true neighbors).
+    """
+    if eps <= 0:
+        return 0.0
+    if metric.name == "squared_euclidean":
+        return math.sqrt(eps)
+    return eps
 
 
 class GridIndex(NeighborIndex):
@@ -70,14 +92,33 @@ class GridIndex(NeighborIndex):
         # CSR cell storage: ``_flat`` holds point indices grouped by cell,
         # ``_cells`` maps a cell's integer coordinates to its
         # ``(start, stop)`` slice of ``_flat``.
+        # ``_codes`` holds the occupied cells' mixed-radix codes in
+        # ascending order, aligned with ``_starts``/``_stops`` (``None``
+        # when the bounding box has too many cells to code).
         self._flat: np.ndarray = np.empty(0, dtype=np.intp)
         self._cells: dict[tuple[int, ...], tuple[int, int]] = {}
+        self._codes: np.ndarray | None = None
         if len(self) > 0:
             self._origin = self._points.min(axis=0)
             coords = np.floor(
                 (self._points - self._origin) / self._cell_size
             ).astype(np.int64)
-            self._flat, self._cells = _build_csr(coords)
+            self._flat, keys, self._starts, self._stops = _build_csr(coords)
+            self._cells = {
+                key: bounds
+                for key, bounds in zip(
+                    map(tuple, keys.tolist()),
+                    zip(self._starts.tolist(), self._stops.tolist()),
+                )
+            }
+            # Lexicographic key order is ascending mixed-radix code order
+            # (first coordinate most significant, every coordinate >= 0).
+            self._extent = keys.max(axis=0) + 1
+            if math.prod(self._extent.tolist()) < _MAX_CODE:
+                self._strides = np.ones(keys.shape[1], dtype=np.int64)
+                for k in range(keys.shape[1] - 2, -1, -1):
+                    self._strides[k] = self._strides[k + 1] * self._extent[k + 1]
+                self._codes = keys @ self._strides
         else:
             self._origin = np.zeros(points.shape[1] if points.ndim == 2 else 0)
 
@@ -114,18 +155,7 @@ class GridIndex(NeighborIndex):
         return np.concatenate([self._flat[start:stop] for start, stop in slices])
 
     def _coordinate_reach(self, eps: float) -> float:
-        """Half-width of the ``L_inf`` cube containing the ``eps``-ball.
-
-        For euclidean/manhattan/chebyshev that is ``eps`` itself; for
-        squared_euclidean the ball of squared radius ``eps`` has coordinate
-        half-width ``sqrt(eps)`` (larger than ``eps`` when ``eps < 1`` —
-        using ``eps`` there would silently drop true neighbors).
-        """
-        if eps <= 0:
-            return 0.0
-        if self._metric.name == "squared_euclidean":
-            return math.sqrt(eps)
-        return eps
+        return coordinate_reach(self._metric, eps)
 
     def _candidate_indices(self, query: np.ndarray, eps: float) -> np.ndarray:
         """All point indices in cells intersecting the ``eps``-cube of ``query``."""
@@ -208,36 +238,84 @@ class GridIndex(NeighborIndex):
                     distances_out[i] = values[span]
         return (out, distances_out) if return_distances else out
 
+    def candidate_pairs(
+        self, queries: np.ndarray, eps: float
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Every ``(query, point)`` pair whose point shares a cell
+        neighbourhood with the query — the batched gather, with no distance
+        evaluated.
+
+        Each query's own cell and the ``ceil(reach / cell)`` rings around
+        it (a superset of its ``eps``-cube, as in
+        :meth:`range_query_batch`) are coded, looked up in the sorted cell
+        table with one ``searchsorted`` and expanded into pairs without a
+        per-query loop.  This is the plan for many small query batches
+        against one fixed indexed set; callers filter the pairs exactly.
+
+        Returns:
+            ``(query_rows, point_indices)``: aligned ``intp`` arrays,
+            grouped by query row in ascending order.
+        """
+        dim = self._points.shape[1] if self._points.ndim == 2 else 0
+        queries = _as_query_batch(queries, dim)
+        empty = np.empty(0, dtype=np.intp)
+        if queries.shape[0] == 0 or len(self) == 0:
+            return empty, empty
+        reach = self._coordinate_reach(eps)
+        rings = int(math.ceil(reach / self._cell_size)) if reach > 0 else 0
+        coords = np.floor((queries - self._origin) / self._cell_size).astype(np.int64)
+        stencil = (2 * rings + 1) ** dim
+        if self._codes is None or stencil > max(4 * len(self._cells), 64):
+            # Uncodable bounding box or a stencil wider than the occupied
+            # cells: gather per query through the cell table instead.
+            gathered = [self._gather_cells(row - rings, row + rings) for row in coords]
+            sizes = [members.size for members in gathered]
+            rows = np.repeat(np.arange(len(gathered), dtype=np.intp), sizes)
+            return rows, (np.concatenate(gathered) if sum(sizes) else empty)
+        offsets = np.indices((2 * rings + 1,) * dim).reshape(dim, stencil).T - rings
+        cells = (coords[:, None, :] + offsets[None, :, :]).reshape(-1, dim)
+        owners = np.repeat(np.arange(queries.shape[0], dtype=np.intp), stencil)
+        inside = np.all((cells >= 0) & (cells < self._extent), axis=1)
+        cells, owners = cells[inside], owners[inside]
+        codes = cells @ self._strides
+        slots = np.minimum(np.searchsorted(self._codes, codes), self._codes.size - 1)
+        found = self._codes[slots] == codes
+        owners, slots = owners[found], slots[found]
+        starts = self._starts[slots]
+        sizes = self._stops[slots] - starts
+        # Expand every (query, cell) hit into its cell's slice of _flat.
+        within = np.arange(int(sizes.sum())) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        return np.repeat(owners, sizes), self._flat[np.repeat(starts, sizes) + within]
+
 
 def _build_csr(
     coords: np.ndarray,
-) -> tuple[np.ndarray, dict[tuple[int, ...], tuple[int, int]]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Group row indices of ``coords`` by identical rows, vectorized.
 
     Returns the flat point-index array (grouped by cell, ascending within
-    each cell thanks to the stable sort) and the ``key -> (start, stop)``
-    slice table over it.
+    each cell thanks to the stable sort), the occupied cells' coordinates
+    in lexicographic order, and each cell's ``start``/``stop`` slice
+    bounds into the flat array.
     """
     n = coords.shape[0]
     if coords.ndim != 2 or coords.shape[1] == 0:
         # Zero-dimensional points: everything lives in the single () cell.
-        return np.arange(n, dtype=np.intp), {(): (0, n)}
+        return (
+            np.arange(n, dtype=np.intp),
+            np.empty((1, 0), dtype=np.int64),
+            np.zeros(1, dtype=np.intp),
+            np.full(1, n, dtype=np.intp),
+        )
     # lexsort keys run last-to-first, so reversing the columns sorts rows
     # lexicographically; the sort is stable, keeping point indices
     # ascending inside each cell (the order the old per-cell lists had).
     order = np.lexsort(coords.T[::-1]).astype(np.intp)
     sorted_coords = coords[order]
     change = np.any(sorted_coords[1:] != sorted_coords[:-1], axis=1)
-    starts = np.concatenate(([0], np.flatnonzero(change) + 1))
-    stops = np.concatenate((starts[1:], [n]))
-    cells = {
-        key: bounds
-        for key, bounds in zip(
-            map(tuple, sorted_coords[starts].tolist()),
-            zip(starts.tolist(), stops.tolist()),
-        )
-    }
-    return order, cells
+    starts = np.concatenate(([0], np.flatnonzero(change) + 1)).astype(np.intp)
+    stops = np.concatenate((starts[1:], [n])).astype(np.intp)
+    return order, sorted_coords[starts], starts, stops
 
 
 def _group_rows(coords: np.ndarray) -> dict[tuple[int, ...], list[int]]:

@@ -17,7 +17,10 @@ trajectory:
 * **relabel kernels** — the dense ``relabel_site_reference`` sweep vs. the
   vectorized grid-backed kernel over the same sites and global model,
   asserting bit-identical labels and stats (``labels_identical`` rides into
-  the registry as a zero-tolerance correctness metric);
+  the registry as a zero-tolerance correctness metric), plus a
+  query-shaped row: 64-point label queries against the same model through
+  ``auto`` (the model's cached coverage index) vs. the reference
+  (``query_labels_identical``, gated the same way);
 * **the shared-memory pool** — share / zero-copy attach / verify / unlink
   round-trip of the per-site arrays, with the byte volume that the process
   backend no longer pickles;
@@ -58,6 +61,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.clustering.dbscan import DBSCAN
+from repro.clustering.labels import NOISE
 from repro.core.global_model import build_global_model
 from repro.core.local import build_local_model
 from repro.core.relabel import relabel_site
@@ -90,6 +94,9 @@ _CLASSIC_MAX = 50_000
 #: Largest primary cardinality the relabel-kernel oracle comparison runs
 #: at (it executes the dense O(n·m) reference sweep on purpose).
 _KERNELS_MAX = 200_000
+#: Points per label query in the relabel section's query row (the
+#: service benchmark's query size).
+QUERY_POINTS = 64
 
 
 def _best_of(fn: Callable[[], object], repeats: int) -> tuple[float, object]:
@@ -279,7 +286,9 @@ def bench_relabel_kernels(
     Builds the local models and the global model once, then times a full
     all-sites relabel pass per kernel and asserts the outputs are
     bit-identical (labels *and* stats) — the hard invariant of the kernel
-    dispatch.
+    dispatch.  The query row cuts the points into ``QUERY_POINTS``-point
+    pure-coverage queries and times them through ``auto`` and the
+    reference, per query, asserting identical labels.
     """
     assignment = partition(points, n_sites, "uniform_random", seed)
     site_points = split(points, assignment)
@@ -310,6 +319,33 @@ def bench_relabel_kernels(
         for ref, vec in zip(outputs["reference"], outputs["vectorized"])
     )
     assert identical, "vectorized relabel diverged from the reference kernel"
+    queries = [
+        points[start : start + QUERY_POINTS]
+        for start in range(0, points.shape[0], QUERY_POINTS)
+    ]
+    query_seconds: dict[str, float] = {}
+    query_labels: dict[str, list] = {}
+    for kernel in ("reference", "auto"):
+
+        def run_queries(kernel: str = kernel):
+            return [
+                relabel_site(
+                    query,
+                    np.full(query.shape[0], NOISE, dtype=np.intp),
+                    global_model,
+                    site_id=None,
+                    kernel=kernel,
+                )[0]
+                for query in queries
+            ]
+
+        total, query_labels[kernel] = _best_of(run_queries, repeats)
+        query_seconds[kernel] = total / len(queries)
+    query_identical = all(
+        np.array_equal(ref, auto)
+        for ref, auto in zip(query_labels["reference"], query_labels["auto"])
+    )
+    assert query_identical, "auto label queries diverged from the reference"
     vectorized = seconds["vectorized"]
     return {
         "n_sites": n_sites,
@@ -319,6 +355,10 @@ def bench_relabel_kernels(
         "speedup": seconds["reference"] / vectorized if vectorized > 0 else None,
         "labels_identical": identical,
         "n_covered": int(sum(stats.n_covered for __, stats in outputs["vectorized"])),
+        "n_queries": len(queries),
+        "query_reference_seconds": query_seconds["reference"],
+        "query_auto_seconds": query_seconds["auto"],
+        "query_labels_identical": query_identical,
     }
 
 
@@ -575,6 +615,13 @@ def flat_metrics(report: dict) -> dict[str, float]:
         out["relabel_kernels.representatives_count"] = float(
             kernels["n_representatives"]
         )
+        out["relabel_kernels.query_labels_identical"] = float(
+            kernels["query_labels_identical"]
+        )
+        for kernel in ("reference", "auto"):
+            out[f"relabel_kernels.query_wall_seconds[{kernel}]"] = kernels[
+                f"query_{kernel}_seconds"
+            ]
     shm = report.get("shm_pool")
     if shm:
         out["shm.setup_seconds"] = shm["setup_seconds"]
@@ -656,6 +703,12 @@ def format_summary(report: dict) -> str:
             f"  reference  {row['reference_seconds']:.3f}s -> "
             f"vectorized {row['vectorized_seconds']:.3f}s  "
             f"({row['speedup']:.2f}x)"
+        )
+        lines.append(
+            f"  {row['n_queries']} label queries of {QUERY_POINTS} points: "
+            f"reference {row['query_reference_seconds'] * 1e3:.2f}ms -> "
+            f"auto {row['query_auto_seconds'] * 1e3:.2f}ms per query "
+            f"(bit-identical={row['query_labels_identical']})"
         )
     if "shm_pool" in report:
         row = report["shm_pool"]

@@ -55,7 +55,7 @@ from functools import partial
 import numpy as np
 
 from repro.clustering.labels import NOISE
-from repro.core.relabel import relabel_site
+from repro.core.relabel import RELABEL_KERNELS, check_query_points, relabel_site
 from repro.distributed.round_core import RoundCore
 from repro.distributed.server import CentralServer
 from repro.obs import MetricsRegistry, NULL_TRACER, shift_span_times, trace_document
@@ -179,6 +179,11 @@ class ServiceConfig:
         if self.retry_after_s <= 0:
             raise ValueError(
                 f"retry_after_s must be positive, got {self.retry_after_s}"
+            )
+        if self.relabel_kernel not in RELABEL_KERNELS:
+            raise ValueError(
+                f"unknown relabel kernel {self.relabel_kernel!r}; "
+                f"known: {RELABEL_KERNELS}"
             )
 
 
@@ -1079,6 +1084,11 @@ class DBDCService:
                 return wire.FrameKind.ERROR, self._status(
                     "no_model", "no local model admitted yet"
                 )
+            try:
+                points = check_query_points(points, model)
+            except ValueError as error:
+                self.metrics.inc("service.frame_errors")
+                return wire.FrameKind.ERROR, self._status("bad_request", str(error))
             start = time.perf_counter()
             # Pure-coverage relabel (no local clustering to inherit from)
             # on a model snapshot, off the loop thread.

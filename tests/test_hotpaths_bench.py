@@ -54,6 +54,9 @@ class TestReportShape:
         assert row["reference_seconds"] > 0
         assert row["vectorized_seconds"] > 0
         assert row["n_representatives"] > 0
+        assert row["query_labels_identical"] is True
+        assert row["n_queries"] == -(-400 // 64)
+        assert row["query_auto_seconds"] > 0
 
     def test_shm_pool_section(self, small_report):
         row = small_report["shm_pool"]
@@ -92,6 +95,9 @@ class TestReportShape:
         assert metrics["shm.roundtrip_ok"] == 1.0
         assert "relabel_kernels.wall_seconds[reference]" in metrics
         assert "relabel_kernels.wall_seconds[vectorized]" in metrics
+        assert metrics["relabel_kernels.query_labels_identical"] == 1.0
+        assert "relabel_kernels.query_wall_seconds[auto]" in metrics
+        assert "relabel_kernels.query_wall_seconds[reference]" in metrics
         assert "scale.total_wall_seconds[400]" in metrics
         assert "scale.tracemalloc_peak_mb[400:relabel]" in metrics
         assert "scale.rss_peak_mb[400]" in metrics

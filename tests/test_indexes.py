@@ -326,3 +326,41 @@ class TestGridCSRStorage:
             expected = brute.range_query(query, eps)
             np.testing.assert_array_equal(index.range_query(query, eps), expected)
             np.testing.assert_array_equal(np.sort(batch_hits), expected)
+
+
+class TestGridCandidatePairs:
+    """``GridIndex.candidate_pairs``: the batched cell gather behind the
+    relabel step's coverage index."""
+
+    def _pairs(self, rows, points):
+        return set(zip(rows.tolist(), points.tolist()))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_pairs_cover_every_true_neighbor(self, rng, dim):
+        points = rng.uniform(-5, 5, size=(150, dim))
+        queries = rng.uniform(-8, 8, size=(40, dim))  # some outside the box
+        index = GridIndex(points, cell_size=1.5)
+        rows, cands = index.candidate_pairs(queries, 1.5)
+        assert np.all(np.diff(rows) >= 0)  # grouped by query row
+        pairs = self._pairs(rows, cands)
+        for q, query in enumerate(queries):
+            for p in index.range_query(query, 1.5):
+                assert (q, int(p)) in pairs
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_per_query_fallback_gathers_the_same_pairs(self, rng, dim):
+        points = rng.uniform(-5, 5, size=(120, dim))
+        queries = rng.uniform(-6, 6, size=(30, dim))
+        index = GridIndex(points, cell_size=2.0)
+        rows, cands = index.candidate_pairs(queries, 2.0)
+        index._codes = None  # as for a bounding box too large to code
+        fallback_rows, fallback_cands = index.candidate_pairs(queries, 2.0)
+        assert self._pairs(rows, cands) == self._pairs(fallback_rows, fallback_cands)
+
+    def test_empty_inputs(self, rng):
+        index = GridIndex(rng.uniform(size=(10, 2)), cell_size=0.5)
+        rows, cands = index.candidate_pairs(np.empty((0, 2)), 0.5)
+        assert rows.size == 0 and cands.size == 0
+        empty = GridIndex(np.empty((0, 2)), cell_size=0.5)
+        rows, cands = empty.candidate_pairs(np.zeros((3, 2)), 0.5)
+        assert rows.size == 0 and cands.size == 0

@@ -148,3 +148,42 @@ class TestEdgeCases:
         assert stats.n_objects == 50
         assert stats.n_still_noise == int(np.count_nonzero(out == NOISE))
         assert 0 <= stats.n_covered <= 50
+
+
+class TestInputChecks:
+    """Malformed inputs raise instead of broadcasting into wrong labels;
+    every kernel applies the same checks."""
+
+    KERNELS = ["reference", "vectorized", "auto"]
+
+    def _model(self):
+        return _global_model([([0.0, 0.0], 1.0, 0, 0)], labels=[0])
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_flat_points_rejected(self, kernel):
+        with pytest.raises(ValueError, match="2-D"):
+            relabel_site(
+                np.zeros(4), np.full(4, NOISE), self._model(), kernel=kernel
+            )
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_one_coordinate_against_a_2d_model_rejected(self, kernel):
+        with pytest.raises(ValueError, match="coordinates"):
+            relabel_site(
+                np.zeros((4, 1)), np.full(4, NOISE), self._model(), kernel=kernel
+            )
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_three_coordinates_against_a_2d_model_rejected(self, kernel):
+        with pytest.raises(ValueError, match="coordinates"):
+            relabel_site(
+                np.zeros((4, 3)), np.full(4, NOISE), self._model(), kernel=kernel
+            )
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_nan_row_rejected(self, kernel):
+        """A NaN row once made the grid kernel label a valid point noise
+        (the NaN poisoned the grid origin) while the reference covered it."""
+        points = np.asarray([[np.nan, 0.0], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="finite"):
+            relabel_site(points, np.full(2, NOISE), self._model(), kernel=kernel)

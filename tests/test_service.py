@@ -190,6 +190,31 @@ class TestAdmissionGate:
                     client.query(np.zeros((3, 2)))
                 assert excinfo.value.status == "no_model"
 
+    @pytest.mark.parametrize(
+        "points",
+        [
+            np.zeros((3, 1)),
+            np.zeros((3, 3)),
+            np.asarray([[np.nan, 0.0], [0.0, 0.0]]),
+        ],
+        ids=["one-coordinate", "three-coordinates", "nan-row"],
+    )
+    def test_malformed_label_query_is_bad_request(self, points):
+        with ServiceHandle.start(ServiceConfig(metrics_port=None)) as handle:
+            with ServiceClient(handle.host, handle.port, site_id=0) as client:
+                assert client.submit(_tiny_local_model(site_id=0)) == "admitted"
+                with pytest.raises(ServiceError) as excinfo:
+                    client.query(points)
+                assert excinfo.value.status == "bad_request"
+                # The connection survives and well-formed queries still work.
+                assert client.query(np.zeros((2, 2))).tolist() == [0, 0]
+            counters = handle.service.metrics.to_dict()["counters"]
+            assert counters.get("service.internal_errors", 0) == 0
+
+    def test_unknown_relabel_kernel_rejected_at_config(self):
+        with pytest.raises(ValueError, match="relabel kernel"):
+            ServiceConfig(relabel_kernel="warp")
+
     def test_await_global_times_out_with_typed_error(self):
         with ServiceHandle.start(ServiceConfig(expected_sites=2)) as handle:
             with ServiceClient(handle.host, handle.port) as client:

@@ -221,14 +221,50 @@ class TestRoundProtocolErrors:
                 assert excinfo.value.status == "no_model"
 
 
-def _tiny_model(site_id: int):
+class TestLabelQueriesFollowTheCommittedModel:
+    def test_queries_after_commit_and_after_replay_use_the_new_model(
+        self, tmp_path
+    ):
+        """Label queries answer from a coverage index cached on the model
+        object; a round commit and a journal replay both install a new
+        model, so neither may answer from the previous model's index."""
+        from repro.clustering.labels import NOISE
+        from repro.core.relabel import relabel_site_reference
+
+        config = ServiceConfig(metrics_port=None, journal_dir=str(tmp_path))
+        queries = np.asarray([[0.0, 0.5], [10.0, 0.5]])
+
+        def expected(model):
+            noise = np.full(queries.shape[0], NOISE, dtype=np.intp)
+            return relabel_site_reference(queries, noise, model)[0]
+
+        with ServiceHandle.start(config) as handle:
+            for round_index, site_id, point in ((0, 0, (0.0, 0.0)), (1, 1, (10.0, 0.0))):
+                with ServiceClient(
+                    handle.host, handle.port, site_id=site_id
+                ) as client:
+                    assert client.open_round(round_index) == "round_open"
+                    assert client.submit(_tiny_model(site_id, point)) == "admitted"
+                    assert client.commit_round(round_index) == "round_committed"
+                    served = client.query(queries)
+                    model = client.await_model_delta(round_index, None, timeout_s=5.0)
+                np.testing.assert_array_equal(served, expected(model))
+                # Round 0 covers only the first query, round 1 both.
+                assert (served != NOISE).tolist() == [True, round_index == 1]
+        with ServiceHandle.start(config) as handle:
+            with ServiceClient(handle.host, handle.port) as client:
+                replayed = client.query(queries)
+        np.testing.assert_array_equal(replayed, served)
+
+
+def _tiny_model(site_id: int, point=(0.0, 0.0)):
     from repro.core.models import LocalModel, Representative
 
     return LocalModel(
         site_id=site_id,
         representatives=[
             Representative(
-                point=np.asarray([0.0, 0.0]),
+                point=np.asarray(point, dtype=float),
                 eps_range=1.0,
                 site_id=site_id,
                 local_cluster_id=0,
