@@ -22,17 +22,24 @@ Two expansion strategies produce that identical processing order:
 * the classic one-seed-at-a-time loop (``batched=False``), which issues one
   region query per popped seed, and
 * the default frontier-at-a-time loop (``batched=True``), which drains the
-  whole seed queue each round, answers it with **one** batched region query
-  (``NeighborIndex.region_query_batch``), and then applies the results in
-  the exact FIFO order the sequential loop would have used.
+  whole seed queue each round and applies it with array operations: one
+  CSR neighbour query (``NeighborIndex.region_query_csr``) answers the
+  frontier, core flags come from the CSR degrees, and the next frontier is
+  the first occurrences of unclassified points in the core members'
+  concatenated neighbourhoods, in FIFO order.
 
 Because the seed queue is FIFO, one "round" of the sequential loop processes
 precisely the seeds that were enqueued before the round started — the
 frontier.  Region queries read only the immutable index, never the label
-array, so evaluating them up front cannot change any neighborhood.  Labels,
-core flags, ``n_region_queries`` and the observer event sequence are
-therefore bit-identical between the two strategies (guarded by
+array, so evaluating them up front cannot change any neighborhood; a
+member's absorb claims exactly the unclassified neighbours no earlier member
+claimed, which is the first-occurrence rule.  Labels, core flags,
+``n_region_queries`` and the observer event sequence are therefore
+bit-identical between the two strategies (guarded by
 ``tests/test_dbscan_batched.py``).
+
+Points must be finite: a NaN or inf coordinate has no place in a metric
+space, and a grid index would compute garbage cell coordinates for it.
 """
 
 from __future__ import annotations
@@ -180,6 +187,8 @@ class DBSCAN:
             A :class:`DBSCANResult`.
         """
         points = np.asarray(points, dtype=float)
+        if not np.isfinite(points).all():
+            raise ValueError("points must be finite, got NaN or inf coordinates")
         n = points.shape[0] if points.ndim == 2 else 0
         if index is None:
             index = build_index(
@@ -288,39 +297,38 @@ class DBSCAN:
         observer: DBSCANObserver | None,
         metrics=None,
     ) -> int:
-        """Frontier expansion: one batched region query per BFS round.
+        """Frontier expansion: one CSR neighbour query per BFS round.
 
         Each round drains the entire seed queue (the frontier), answers it
-        with one ``region_query_batch`` call, and applies the results in
-        FIFO order — the order :meth:`_expand_sequential` would have used —
-        so every observable output is bit-identical to the classic loop.
-        Each batch still counts one region query per frontier member to
-        keep the paper's cost proxy comparable.
+        with one ``region_query_csr`` call and applies it with array
+        operations in the FIFO order :meth:`_expand_sequential` would have
+        used, so every observable output is bit-identical to the classic
+        loop.  Each round still counts one region query per frontier
+        member to keep the paper's cost proxy comparable.
 
         Returns:
             The number of region queries issued.
         """
-        frontier: list[int] = []
-        self._absorb_vectorized(neighbors, cluster_id, labels, frontier)
+        frontier = self._claim(neighbors, cluster_id, labels)
         queries = 0
-        while frontier:
+        while frontier.size:
             if metrics is not None:
-                metrics.observe("dbscan.frontier_batch_size", len(frontier))
-            batch = index.region_query_batch(
-                np.asarray(frontier, dtype=np.intp), self.eps
+                metrics.observe("dbscan.frontier_batch_size", frontier.size)
+            indptr, flat = index.region_query_csr(frontier, self.eps)
+            queries += frontier.size
+            degrees = np.diff(indptr)
+            is_core = degrees >= self.min_pts
+            core_mask[frontier[is_core]] = True
+            if observer is not None:
+                bounds = indptr.tolist()
+                members = frontier.tolist()
+                for k in np.flatnonzero(is_core).tolist():
+                    observer.on_core_point(
+                        members[k], cluster_id, flat[bounds[k] : bounds[k + 1]]
+                    )
+            frontier = self._claim(
+                flat[np.repeat(is_core, degrees)], cluster_id, labels
             )
-            queries += len(frontier)
-            next_frontier: list[int] = []
-            for current, current_neighbors in zip(frontier, batch):
-                if current_neighbors.size < self.min_pts:
-                    continue  # border object: keeps its label, expands nothing
-                core_mask[current] = True
-                if observer is not None:
-                    observer.on_core_point(current, cluster_id, current_neighbors)
-                self._absorb_vectorized(
-                    current_neighbors, cluster_id, labels, next_frontier
-                )
-            frontier = next_frontier
         return queries
 
     @staticmethod
@@ -328,7 +336,7 @@ class DBSCAN:
         neighbors: np.ndarray,
         cluster_id: int,
         labels: np.ndarray,
-        seeds: deque[int] | list[int],
+        seeds: deque[int],
         *,
         exclude: int,
     ) -> None:
@@ -350,29 +358,30 @@ class DBSCAN:
                 labels[j] = cluster_id
 
     @staticmethod
-    def _absorb_vectorized(
-        neighbors: np.ndarray,
-        cluster_id: int,
-        labels: np.ndarray,
-        seeds: list[int],
-    ) -> None:
-        """Vectorized :meth:`_absorb` used by the frontier expansion.
+    def _claim(reached: np.ndarray, cluster_id: int, labels: np.ndarray) -> np.ndarray:
+        """:meth:`_absorb` for a whole frontier's core neighbourhoods.
 
-        Equivalent to the scalar loop: the indices within one neighborhood
-        are distinct, so claiming all unclassified neighbors (ascending,
-        ``neighbors`` is sorted) and then promoting all former-noise ones
-        performs the identical label transitions and seed appends.  The
-        expanding core point itself is already labeled ``cluster_id``, so
-        no ``exclude`` check is needed — it matches neither mask.
+        ``reached`` concatenates the neighbourhoods in FIFO order.  The
+        scalar loop claims a point at its first occurrence while it is
+        still unclassified, so the new seeds are the first occurrences of
+        the unclassified points, in order; former noise becomes border.
+        The expanding core points are already labeled ``cluster_id``, so
+        no ``exclude`` check is needed.
+
+        Returns:
+            The claimed points in claim order (the next frontier).
         """
-        neighbor_labels = labels[neighbors]
-        fresh = neighbors[neighbor_labels == UNCLASSIFIED]
+        reached_labels = labels[reached]
+        labels[reached[reached_labels == NOISE]] = cluster_id
+        fresh = reached[reached_labels == UNCLASSIFIED]
         if fresh.size:
+            order = np.argsort(fresh, kind="stable")
+            ordered = fresh[order]
+            first = np.ones(fresh.size, dtype=bool)
+            np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+            fresh = fresh[np.sort(order[first])]
             labels[fresh] = cluster_id
-            seeds.extend(fresh.tolist())
-        former_noise = neighbors[neighbor_labels == NOISE]
-        if former_noise.size:
-            labels[former_noise] = cluster_id
+        return fresh
 
 
 def dbscan(

@@ -35,6 +35,7 @@ from repro.index import NeighborIndex
 __all__ = [
     "SpecificCorePointCollector",
     "specific_eps_range",
+    "specific_eps_ranges",
     "verify_specific_core_set",
     "build_rep_scor_model",
     "build_rep_kmeans_model",
@@ -51,18 +52,25 @@ LOCAL_MODEL_SCHEMES = ("rep_scor", "rep_kmeans")
 class SpecificCorePointCollector:
     """DBSCAN observer that greedily picks specific core points (Def. 6).
 
+    A core point enters ``Scor`` iff no already-chosen point lies in the
+    ``Eps``-neighbourhood DBSCAN hands over with it, which is one mask
+    lookup ``chosen[neighbors].any()``.  That equals the distance check
+    against the chosen points of its own cluster because the index
+    computes a neighbourhood with the metric's own kernel, which gives a
+    pair the same distance in either direction, and two core points within
+    ``Eps`` of each other always share a cluster, so a chosen neighbour is
+    one of this cluster's.
+
     Args:
         points: the site's point array (shape ``(n, d)``).
-        eps: the local DBSCAN ``Eps``.
-        metric: distance metric (must match the DBSCAN run's).
+        eps: the local DBSCAN ``Eps``; the neighbourhoods carry it.
+        metric: distance metric of the run; the neighbourhoods carry it.
     """
 
     def __init__(
         self, points: np.ndarray, eps: float, metric: str | Metric = "euclidean"
     ) -> None:
-        self._points = np.asarray(points, dtype=float)
-        self._eps = float(eps)
-        self._metric = get_metric(metric)
+        self._chosen = np.zeros(len(points), dtype=bool)
         self._scor: dict[int, list[int]] = defaultdict(list)
 
     def on_cluster_start(self, cluster_id: int, seed_index: int) -> None:
@@ -72,14 +80,10 @@ class SpecificCorePointCollector:
         self, index: int, cluster_id: int, neighbors: np.ndarray
     ) -> None:
         """Admit ``index`` into ``Scor`` iff no chosen point covers it."""
-        chosen = self._scor[cluster_id]
-        if chosen:
-            distances = self._metric.to_many(
-                self._points[index], self._points[chosen]
-            )
-            if bool((distances <= self._eps).any()):
-                return
-        chosen.append(index)
+        if self._chosen[neighbors].any():
+            return
+        self._chosen[index] = True
+        self._scor[cluster_id].append(index)
 
     def specific_core_points(self) -> dict[int, np.ndarray]:
         """Mapping ``local cluster id -> Scor index array`` (selection order)."""
@@ -109,14 +113,27 @@ def specific_eps_range(
     Returns:
         The ε_s value.
     """
-    neighbors = result.index.region_query(point_index, result.eps)
-    core_neighbors = neighbors[result.core_mask[neighbors]]
-    core_neighbors = core_neighbors[core_neighbors != point_index]
-    if core_neighbors.size == 0:
-        return result.eps
+    return float(specific_eps_ranges([point_index], result, metric=metric)[0])
+
+
+def specific_eps_ranges(
+    point_indices: np.ndarray | list[int], result: DBSCANResult, *, metric: Metric
+) -> np.ndarray:
+    """:func:`specific_eps_range` of many core points, whose
+    neighbourhoods come from one ``region_query_csr`` call."""
+    indices = np.asarray(point_indices, dtype=np.intp)
+    indptr, neighbors = result.index.region_query_csr(indices, result.eps)
     points = result.index.points
-    distances = metric.to_many(points[point_index], points[core_neighbors])
-    return float(result.eps + distances.max())
+    core = result.core_mask[neighbors]
+    out = np.full(indices.size, result.eps)
+    for k, s in enumerate(indices.tolist()):
+        span = slice(indptr[k], indptr[k + 1])
+        core_neighbors = neighbors[span][core[span]]
+        core_neighbors = core_neighbors[core_neighbors != s]
+        if core_neighbors.size:
+            distances = metric.to_many(points[s], points[core_neighbors])
+            out[k] = result.eps + distances.max()
+    return out
 
 
 def verify_specific_core_set(
@@ -268,17 +285,19 @@ def build_rep_scor_model(
         points, eps, min_pts, resolved, index_kind, index, tracer, metrics
     )
     derive_start = time.perf_counter() if tracer is not None else 0.0
-    representatives = []
-    for cid in sorted(scor_map):
-        for s in scor_map[cid]:
-            representatives.append(
-                Representative(
-                    point=points[s].copy(),
-                    eps_range=specific_eps_range(int(s), result, metric=resolved),
-                    site_id=site_id,
-                    local_cluster_id=cid,
-                )
-            )
+    owners = [(cid, int(s)) for cid in sorted(scor_map) for s in scor_map[cid]]
+    eps_ranges = specific_eps_ranges(
+        [s for __, s in owners], result, metric=resolved
+    )
+    representatives = [
+        Representative(
+            point=points[s].copy(),
+            eps_range=float(eps_range),
+            site_id=site_id,
+            local_cluster_id=cid,
+        )
+        for (cid, s), eps_range in zip(owners, eps_ranges.tolist())
+    ]
     _record_derive_span(tracer, derive_start, "rep_scor", len(representatives))
     model = LocalModel(
         site_id=site_id,

@@ -287,23 +287,17 @@ def _vectorized_coverage(
     rep_ranges = global_model.eps_ranges()
     max_eps = float(rep_ranges.max())
 
-    # One batched range-query plan answers every representative's
-    # max-ε_r neighborhood at once and hands back the hit distances it
-    # already evaluated (a `Metric.matrix` row is bitwise equal to the
-    # `to_many` row the dense reference sweep computes, so no recompute
+    # One CSR neighbour query answers every representative's max-ε_r
+    # neighborhood at once and hands back the hit distances it already
+    # evaluated (a row-aligned `to_many` pair is bitwise equal to the
+    # matrix entry the dense reference sweep computes, so no recompute
     # is needed); representatives with a smaller ε_r are then filtered
     # exactly in one vectorized pass.
     index = GridIndex(points, metric, cell_size=max_eps)
-    neighborhoods, neighborhood_distances = index.range_query_batch(
+    indptr, objects, distances = index.neighbors(
         rep_points, max_eps, return_distances=True
     )
-    counts = np.asarray([members.size for members in neighborhoods])
-    objects = np.concatenate(neighborhoods) if counts.sum() else np.empty(0, np.intp)
-    distances = np.concatenate(neighborhood_distances) if counts.sum() else np.empty(0)
-    # The hit arrays are the large allocations here: drop each copy as
-    # soon as the next one exists.
-    del neighborhoods, neighborhood_distances
-    reps = np.repeat(np.arange(len(global_model), dtype=np.intp), counts)
+    reps = np.repeat(np.arange(len(global_model), dtype=np.intp), np.diff(indptr))
     keep = distances <= rep_ranges[reps]
     objects, distances, reps = objects[keep], distances[keep], reps[keep]
     # The hit stream is representative-major; group it by object.

@@ -20,8 +20,12 @@ An index is built once over an immutable point set and answers:
   :class:`~repro.index.grid.GridIndex` and
   :class:`~repro.index.kdtree.KDTreeIndex` override it with genuinely
   vectorized sweeps.  Batched results are contractually identical
-  (element-wise ``array_equal``) to the per-query results — DBSCAN's
-  frontier expansion relies on this.
+  (element-wise ``array_equal``) to the per-query results,
+* ``region_query_csr(indices, eps)`` — the same neighbourhoods as one CSR
+  pair ``(indptr, neighbors)``, the form DBSCAN's frontier expansion and
+  the local model consume.  The generic form concatenates
+  ``region_query_batch``; :class:`~repro.index.grid.GridIndex` answers it
+  with one vectorized candidate-pair gather.
 """
 
 from __future__ import annotations
@@ -185,6 +189,29 @@ class NeighborIndex(abc.ABC):
             batch=True,
         )
         return results
+
+    def region_query_csr(
+        self, indices: np.ndarray, eps: float
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``N_Eps`` of many indexed points as CSR ``(indptr, neighbors)``.
+
+        Args:
+            indices: integer array of row indices into the indexed set.
+            eps: neighborhood radius (inclusive), shared by all queries.
+
+        Returns:
+            ``indptr`` of length ``len(indices) + 1`` and the concatenated
+            neighbourhoods: ``neighbors[indptr[k]:indptr[k + 1]]`` equals
+            ``region_query(indices[k], eps)``.  With a registry attached
+            the kept pairs are counted in ``index.neighbor_pairs``.
+        """
+        batch = self.region_query_batch(indices, eps)
+        indptr = np.zeros(len(batch) + 1, dtype=np.intp)
+        np.cumsum([hits.size for hits in batch], out=indptr[1:])
+        neighbors = np.concatenate(batch) if batch else np.empty(0, dtype=np.intp)
+        if self._obs_metrics is not None:
+            self._obs_metrics.inc("index.neighbor_pairs", int(neighbors.size))
+        return indptr, neighbors.astype(np.intp, copy=False)
 
     def count_in_range(self, query: np.ndarray, eps: float) -> int:
         """Number of indexed points within ``eps`` of ``query``."""

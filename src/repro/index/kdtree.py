@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.data.distance import Metric
 from repro.index.base import NeighborIndex, _as_query_batch
+from repro.index.grid import coordinate_reach
 
 __all__ = ["KDTreeIndex"]
 
@@ -101,6 +102,7 @@ class KDTreeIndex(NeighborIndex):
         if len(self) == 0:
             return np.empty(0, dtype=np.intp)
         query = np.asarray(query, dtype=float)
+        reach = coordinate_reach(self._metric, eps)
         hits: list[np.ndarray] = []
         stack = [self._root]
         while stack:
@@ -116,10 +118,11 @@ class KDTreeIndex(NeighborIndex):
                 continue
             delta = query[dim] - self._split_val[node]
             # A child can only contain points within eps of the query if the
-            # query's eps-cube crosses the splitting hyperplane.
-            if delta <= eps:
+            # query's eps-cube (half-width `reach`, sqrt(eps) for
+            # squared_euclidean) crosses the splitting hyperplane.
+            if delta <= reach:
                 stack.append(self._left[node])
-            if delta >= -eps:
+            if delta >= -reach:
                 stack.append(self._right[node])
         if not hits:
             return np.empty(0, dtype=np.intp)
@@ -144,6 +147,7 @@ class KDTreeIndex(NeighborIndex):
         empty = np.empty(0, dtype=np.intp)
         if len(self) == 0:
             return [empty for _ in range(n_queries)]
+        reach = coordinate_reach(self._metric, eps)
         hits: list[list[np.ndarray]] = [[] for _ in range(n_queries)]
         stack: list[tuple[int, np.ndarray]] = [
             (self._root, np.arange(n_queries, dtype=np.intp))
@@ -163,8 +167,8 @@ class KDTreeIndex(NeighborIndex):
                         hits[group[r]].append(match)
                 continue
             delta = queries[group, dim_] - self._split_val[node]
-            left = group[delta <= eps]
-            right = group[delta >= -eps]
+            left = group[delta <= reach]
+            right = group[delta >= -reach]
             if left.size:
                 stack.append((self._left[node], left))
             if right.size:
@@ -213,7 +217,9 @@ class KDTreeIndex(NeighborIndex):
                     elif dist < -best[0][0]:
                         heapq.heapreplace(best, (-float(dist), int(idx)))
                 continue
-            radius = np.inf if len(best) < k else -best[0][0]
+            radius = np.inf if len(best) < k else coordinate_reach(
+                self._metric, -best[0][0]
+            )
             delta = query[dim] - self._split_val[node]
             if delta <= radius:
                 stack.append(self._left[node])

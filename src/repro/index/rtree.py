@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.data.distance import Metric
 from repro.index.base import NeighborIndex
+from repro.index.grid import coordinate_reach
 
 __all__ = ["RTreeIndex"]
 
@@ -132,8 +133,9 @@ class RTreeIndex(NeighborIndex):
         if self._root is None:
             return np.empty(0, dtype=np.intp)
         query = np.asarray(query, dtype=float)
-        low = query - eps
-        high = query + eps
+        reach = coordinate_reach(self._metric, eps)
+        low = query - reach
+        high = query + reach
         hits: list[np.ndarray] = []
         stack = [self._root]
         while stack:

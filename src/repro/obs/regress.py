@@ -92,6 +92,10 @@ DEFAULT_RULES: tuple[MetricRule, ...] = (
     # it survives --ignore-timing and gates cross-machine CI runs.
     MetricRule("*identical*", "higher", 0.0),
     MetricRule("*roundtrip_ok*", "higher", 0.0),
+    # Work counters (candidate / neighbour pairs an index query handled):
+    # deterministic for a fixed config and no clock reading, so any
+    # growth is a regression even under --ignore-timing.
+    MetricRule("*pairs_count*", "lower", 0.0),
     # Memory budgets: tracemalloc peaks are reproducible for a fixed
     # config (python allocations only), RSS folds in the interpreter and
     # allocator and is machine-bound — timing-tagged like the clocks.

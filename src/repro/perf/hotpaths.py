@@ -8,7 +8,10 @@ trajectory:
   at a time vs. one ``region_query_batch`` call, per index kind;
 * **DBSCAN** — the classic one-query-per-seed loop (``batched=False``) vs.
   the frontier-at-a-time expansion (``batched=True``), per index kind, with
-  a sanity check that both produce identical labels and query counts;
+  a sanity check that both produce identical labels and query counts, and
+  the expansion's work counters: candidate pairs the index scanned (grid
+  only) and neighbour pairs it kept (``*pairs_count*``, deterministic, so
+  they gate at zero tolerance even across machines);
 * **the distributed local phase** — ``DistributedRunner`` with
   ``parallelism=1`` vs. ``parallelism=N`` (thread and process backends).
   Each variant records the *effective* worker count after the runner's
@@ -193,12 +196,18 @@ def bench_dbscan(
         assert np.array_equal(single_result.labels, batch_result.labels)
         assert np.array_equal(single_result.core_mask, batch_result.core_mask)
         assert single_result.n_region_queries == batch_result.n_region_queries
+        # The work counters come from one more (untimed) run with a
+        # registry attached, so the timed runs stay unprobed.
+        registry = MetricsRegistry()
+        frontier.fit(points, index=index, metrics=registry)
         out[kind] = {
             "single_seconds": single_seconds,
             "batched_seconds": batch_seconds,
             "speedup": single_seconds / batch_seconds if batch_seconds > 0 else None,
             "n_clusters": single_result.n_clusters,
             "n_region_queries": single_result.n_region_queries,
+            "candidate_pairs": registry.value("index.candidate_pairs", None),
+            "neighbor_pairs": registry.value("index.neighbor_pairs", None),
         }
     return out
 
@@ -585,6 +594,9 @@ def flat_metrics(report: dict) -> dict[str, float]:
             out[f"dbscan.speedup[{kind}]"] = row["speedup"]
         out[f"dbscan.clusters_count[{kind}]"] = row["n_clusters"]
         out[f"dbscan.region_queries_count[{kind}]"] = row["n_region_queries"]
+        for counter in ("candidate_pairs", "neighbor_pairs"):
+            if row.get(counter) is not None:
+                out[f"dbscan.{counter}_count[{kind}]"] = float(row[counter])
     for name, row in report.get("local_phase", {}).items():
         if name == "n_sites":
             continue

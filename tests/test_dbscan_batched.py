@@ -10,11 +10,21 @@ distances, custom processing orders).
 
 from __future__ import annotations
 
+from collections import defaultdict
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.clustering.dbscan import DBSCAN
+from repro.core.local import (
+    build_rep_scor_model,
+    specific_eps_range,
+    verify_specific_core_set,
+)
 from repro.data.datasets import load_dataset
+from repro.data.distance import get_metric
 from repro.index import build_index
 
 
@@ -31,19 +41,25 @@ class RecordingObserver:
         self.events.append(("core", index, cluster_id, tuple(neighbors.tolist())))
 
 
-def _run_both(points, eps, min_pts, *, index_kind="auto", order=None):
+def _run_both(
+    points, eps, min_pts, *, index_kind="auto", order=None, metric="euclidean"
+):
     results = []
     for batched in (False, True):
         observer = RecordingObserver()
-        runner = DBSCAN(eps, min_pts, index_kind=index_kind, batched=batched)
+        runner = DBSCAN(
+            eps, min_pts, metric=metric, index_kind=index_kind, batched=batched
+        )
         result = runner.fit(points, observer=observer, order=order)
         results.append((result, observer))
     return results
 
 
-def _assert_identical(points, eps, min_pts, *, index_kind="auto", order=None):
+def _assert_identical(
+    points, eps, min_pts, *, index_kind="auto", order=None, metric="euclidean"
+):
     (ref, ref_obs), (bat, bat_obs) = _run_both(
-        points, eps, min_pts, index_kind=index_kind, order=order
+        points, eps, min_pts, index_kind=index_kind, order=order, metric=metric
     )
     assert np.array_equal(ref.labels, bat.labels)
     assert np.array_equal(ref.core_mask, bat.core_mask)
@@ -113,3 +129,118 @@ def test_equivalence_at_scale(index_kind):
     _assert_identical(
         data.points, data.eps_local, data.min_pts, index_kind=index_kind
     )
+
+
+class DistanceCheckCollector:
+    """The Def. 6 greedy rule as a distance check against the chosen points
+    of the same cluster: the oracle for the collector's mask lookup."""
+
+    def __init__(self, points, eps, metric):
+        self.points, self.eps, self.metric = points, eps, metric
+        self.scor = defaultdict(list)
+
+    def on_cluster_start(self, cluster_id, seed_index):
+        pass
+
+    def on_core_point(self, index, cluster_id, neighbors):
+        chosen = self.scor[cluster_id]
+        if chosen:
+            distances = self.metric.to_many(self.points[index], self.points[chosen])
+            if (distances <= self.eps).any():
+                return
+        chosen.append(int(index))
+
+
+def _definition7(points, result, s, metric):
+    """ε_s straight from Definition 7, by a full distance sweep."""
+    distances = metric.to_many(points[s], points)
+    near = (distances <= result.eps) & result.core_mask
+    near[s] = False
+    return result.eps + (distances[near].max() if near.any() else 0.0)
+
+
+_GRID_METRICS = ["euclidean", "manhattan", "chebyshev", "squared_euclidean"]
+
+
+@st.composite
+def _cases(draw):
+    """A layout, metric, index kind, parameters and processing order."""
+    seed = draw(st.integers(0, 2**31 - 1))
+    dim = draw(st.integers(1, 3))
+    metric = draw(st.sampled_from(_GRID_METRICS))
+    kind = draw(st.sampled_from(["grid", "brute", "kdtree"]))
+    layout = draw(st.sampled_from(["random", "lattice", "duplicates"]))
+    rng = np.random.default_rng(seed)
+    n = draw(st.integers(1, 90))
+    if layout == "lattice":
+        # Exactly representable coordinates: many distances equal eps.
+        step = 0.5 if metric == "squared_euclidean" else 1.0
+        points = rng.integers(0, 6, size=(n, dim)) * step
+        eps = draw(
+            st.sampled_from(
+                [0.25, 0.5] if metric == "squared_euclidean" else [1.0, 1.5, 2.0]
+            )
+        )
+    else:
+        points = rng.normal(0.0, 1.5, size=(n, dim))
+        if layout == "duplicates":
+            points = np.repeat(points[: max(1, n // 4)], 4, axis=0)
+        if metric == "squared_euclidean":
+            eps = draw(st.floats(0.05, 0.95))
+        else:
+            eps = draw(st.floats(0.1, 2.5))
+    min_pts = draw(st.integers(1, 7))
+    order = None
+    if draw(st.booleans()):
+        order = rng.permutation(points.shape[0]).tolist()
+    return points, eps, min_pts, metric, kind, order
+
+
+@given(case=_cases())
+@settings(max_examples=120, deadline=None)
+def test_property_frontier_equals_sequential(case):
+    """Labels, core mask, query count and the full observer event sequence
+    of the default expansion equal ``batched=False`` for every grid metric
+    (``squared_euclidean`` with eps < 1), grid/brute/kdtree, d in {1, 2, 3},
+    duplicates, exact-boundary lattices and custom orders."""
+    points, eps, min_pts, metric, kind, order = case
+    _assert_identical(
+        points, eps, min_pts, index_kind=kind, order=order, metric=metric
+    )
+
+
+@given(case=_cases())
+@settings(max_examples=60, deadline=None)
+def test_property_rep_scor_matches_definitions(case):
+    """``build_rep_scor_model`` picks the Scor sets of the distance-checked
+    greedy rule over the sequential run, each passes Definition 6, and each
+    ε-range equals ``specific_eps_range`` and a full Definition 7 sweep."""
+    points, eps, min_pts, metric_name, kind, __ = case
+    metric = get_metric(metric_name)
+    outcome = build_rep_scor_model(
+        points, eps, min_pts, metric=metric, index_kind=kind
+    )
+    oracle = DistanceCheckCollector(points, eps, metric)
+    DBSCAN(eps, min_pts, metric=metric, index_kind=kind, batched=False).fit(
+        points, observer=oracle
+    )
+    result = outcome.clustering
+    scor = outcome.specific_core_points
+    assert {cid: s.tolist() for cid, s in scor.items()} == dict(oracle.scor)
+    for cid, chosen in scor.items():
+        assert verify_specific_core_set(points, result, cid, chosen, metric=metric)
+    flat = [int(s) for cid in sorted(scor) for s in scor[cid]]
+    ranges = [rep.eps_range for rep in outcome.model.representatives]
+    assert ranges == [specific_eps_range(s, result, metric=metric) for s in flat]
+    assert ranges == [float(_definition7(points, result, s, metric)) for s in flat]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("batched", [False, True])
+def test_non_finite_points_are_rejected(bad, batched):
+    """A NaN or inf row would poison a grid's origin and cell coordinates."""
+    points = np.asarray(
+        [[0, 0], [bad, 0], [0.1, 0], [0.2, 0], [5, 0], [5.1, 0], [5.2, 0]]
+    )
+    with pytest.raises(ValueError, match="finite"):
+        DBSCAN(1.0, 2, batched=batched).fit(points)

@@ -58,6 +58,19 @@ class TestReportShape:
         assert row["n_queries"] == -(-400 // 64)
         assert row["query_auto_seconds"] > 0
 
+    def test_dbscan_work_counters(self, small_report):
+        rows = small_report["dbscan"]
+        grid = rows["grid"]
+        assert grid["candidate_pairs"] >= grid["neighbor_pairs"] > 0
+        # Every kind answers the same frontiers with the same neighbours.
+        assert {row["neighbor_pairs"] for row in rows.values()} == {
+            grid["neighbor_pairs"]
+        }
+        metrics = flat_metrics(small_report)
+        assert metrics["dbscan.candidate_pairs_count[grid]"] == grid["candidate_pairs"]
+        assert metrics["dbscan.neighbor_pairs_count[brute]"] == grid["neighbor_pairs"]
+        assert "dbscan.candidate_pairs_count[brute]" not in metrics
+
     def test_shm_pool_section(self, small_report):
         row = small_report["shm_pool"]
         assert row["roundtrip_ok"] is True

@@ -128,3 +128,54 @@ def test_metric_matrix_rows_bitwise_equal_to_many(name):
     for i, query in enumerate(queries):
         row = metric.to_many(query, points)
         assert np.array_equal(matrix[i], row)  # bitwise, not approx
+
+
+@pytest.mark.parametrize("kind,metric", INDEX_METRICS)
+def test_region_query_csr_equals_per_query(kind, metric):
+    """The CSR form carries exactly the per-query neighbourhoods, in order."""
+    points = _point_set(7)
+    index = build_index(points, kind, metric=metric, eps=BUILD_EPS)
+    indices = np.asarray([3, 0, 3, 50, points.shape[0] - 1], dtype=np.intp)
+    for eps in (0.0, 0.4, BUILD_EPS):
+        indptr, neighbors = index.region_query_csr(indices, eps)
+        assert indptr.tolist()[0] == 0 and indptr[-1] == neighbors.size
+        for k, i in enumerate(indices):
+            expected = index.region_query(int(i), eps)
+            assert np.array_equal(neighbors[indptr[k] : indptr[k + 1]], expected)
+    indptr, neighbors = index.region_query_csr(np.empty(0, dtype=np.intp), 1.0)
+    assert indptr.tolist() == [0] and neighbors.size == 0
+
+
+@pytest.mark.parametrize("kind", ["kdtree", "rtree", "grid"])
+def test_squared_euclidean_below_one_matches_brute_force(kind):
+    """The eps-ball of squared_euclidean reaches sqrt(eps) > eps along an
+    axis when eps < 1; a tree that pruned its split planes or boxes at
+    eps would drop true neighbours."""
+    points = _point_set(8, n=200)
+    brute = build_index(points, "brute", metric="squared_euclidean")
+    index = build_index(points, kind, metric="squared_euclidean", eps=0.3)
+    for eps in (0.04, 0.3, 0.9, 2.0):
+        for i in range(0, points.shape[0], 7):
+            expected = brute.region_query(i, eps)
+            assert np.array_equal(index.region_query(i, eps), expected)
+    if kind == "kdtree":
+        metric = get_metric("squared_euclidean")
+        for query in points[:20]:
+            expected = np.sort(metric.to_many(query, points))[:6]
+            assert np.array_equal(index.knn_query(query, 6)[1], expected)
+
+
+@pytest.mark.parametrize("name", ["euclidean", "squared_euclidean", "manhattan", "chebyshev"])
+def test_metric_row_aligned_pairs_bitwise_equal_to_many(name):
+    """``to_many`` on row-aligned pairs (the grid's neighbour query) gives
+    each pair the per-query distance, bit for bit."""
+    metric = get_metric(name)
+    rng = np.random.default_rng(12)
+    queries = rng.normal(0, 5, size=(17, 3))
+    points = rng.normal(0, 5, size=(200, 3))
+    rows = rng.integers(0, 17, size=500)
+    cols = rng.integers(0, 200, size=500)
+    paired = metric.to_many(queries[rows], points[cols])
+    for k in range(rows.size):
+        single = metric.to_many(queries[rows[k]], points[cols[k] : cols[k] + 1])
+        assert paired[k] == single[0]  # bitwise, not approx

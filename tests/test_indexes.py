@@ -247,19 +247,23 @@ class TestGridCSRStorage:
     def test_slices_partition_flat(self, rng):
         points = rng.uniform(-5, 5, size=(150, 3))
         index = GridIndex(points, cell_size=2.0)
-        bounds = sorted(index._cells.values())
-        assert bounds[0][0] == 0
-        assert bounds[-1][1] == 150
-        for (_, stop), (start, _) in zip(bounds, bounds[1:]):
-            assert stop == start  # contiguous, non-overlapping
+        assert index._starts[0] == 0
+        assert index._stops[-1] == 150
+        # contiguous, non-overlapping, in cell-table order
+        np.testing.assert_array_equal(index._stops[:-1], index._starts[1:])
+        assert np.all(index._stops > index._starts)
 
     def test_csr_matches_naive_bucketing(self, rng):
         for trial in range(5):
             points = rng.uniform(-4, 4, size=(120, 2))
             index = GridIndex(points, cell_size=0.9)
             expected = self._naive_cells(index)
-            assert set(index._cells) == set(expected)
-            for key, (start, stop) in index._cells.items():
+            keys = list(map(tuple, index._keys.tolist()))
+            assert keys == sorted(expected)  # lexicographic cell table
+            # Codes ascend with the keys, so searchsorted finds each cell.
+            assert np.all(np.diff(index._codes) > 0)
+            np.testing.assert_array_equal(index._codes, index._keys @ index._strides)
+            for key, start, stop in zip(keys, index._starts, index._stops):
                 # Stable lexsort keeps indices ascending within a cell,
                 # exactly like the per-cell append lists used to.
                 assert index._flat[start:stop].tolist() == expected[key]
@@ -268,7 +272,7 @@ class TestGridCSRStorage:
         points = rng.uniform(0, 3, size=(80, 2))
         index = GridIndex(points, cell_size=1.0)
         assert index.n_occupied_cells == len(self._naive_cells(index))
-        assert index.n_occupied_cells == len(index._cells)
+        assert index.n_occupied_cells == len(index._codes) == len(index._keys)
 
     def test_duplicate_points_share_one_cell(self):
         points = np.tile([[1.5, -0.5]], (7, 1))
@@ -307,6 +311,23 @@ class TestGridCSRStorage:
                     index.range_query(np.asarray(query), eps),
                     brute.range_query(np.asarray(query), eps),
                 )
+
+    def test_uncodable_bounding_box_matches_brute(self, rng):
+        # 10^5 cells along each of 4 coordinates: too many to code in int64,
+        # so every gather scans the cell table.
+        points = np.concatenate([rng.uniform(0, 3, size=(60, 4)), [[1e5] * 4]])
+        index = GridIndex(points, cell_size=1.0)
+        assert index._codes is None
+        brute = BruteForceIndex(points)
+        queries = np.concatenate([points[:10], [[1e5 - 0.5] * 4]])
+        for eps in (0.7, 2.0):
+            indptr, neighbors = index.neighbors(queries, eps)
+            for k, query in enumerate(queries):
+                expected = brute.range_query(query, eps)
+                np.testing.assert_array_equal(
+                    neighbors[indptr[k] : indptr[k + 1]], expected
+                )
+                np.testing.assert_array_equal(index.range_query(query, eps), expected)
 
     @given(
         seed=st.integers(0, 10_000),

@@ -312,6 +312,7 @@ class TestRuleCoverage:
             "*drops*": "chaos.drops",
             "*identical*": "relabel_kernels.labels_identical",
             "*roundtrip_ok*": "shm.roundtrip_ok",
+            "*pairs_count*": "dbscan.candidate_pairs_count[grid]",
             "*tracemalloc_peak_mb*": "scale.tracemalloc_peak_mb[20000:local]",
             "*rss_peak_mb*": "scale.rss_peak_mb[20000]",
             "*_rps": "serve.query_throughput_rps",
